@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 
+#include "crypto/block_modes.hpp"
+
 namespace fbs::crypto {
 namespace {
 
@@ -14,13 +16,10 @@ std::size_t seal_blocks(const CbcSealJob& job) {
   return CryptoBatch::padded_size(job.plaintext.size()) / Des::kBlockSize;
 }
 
-/// The PKCS#7 tail block: whatever plaintext remains past `off`, padded.
-std::uint64_t tail_block(util::BytesView plaintext, std::size_t off) {
+/// The padded final block of `plaintext` as a CBC input word.
+std::uint64_t tail_block(util::BytesView plaintext) {
   std::uint8_t last[Des::kBlockSize];
-  const std::size_t tail = plaintext.size() - off;
-  const std::uint8_t pad = static_cast<std::uint8_t>(Des::kBlockSize - tail);
-  for (std::size_t k = 0; k < tail; ++k) last[k] = plaintext[off + k];
-  for (std::size_t k = tail; k < Des::kBlockSize; ++k) last[k] = pad;
+  detail::pkcs7_last_block(plaintext, last);
   return Des::load_be64(last);
 }
 
@@ -233,7 +232,7 @@ void CryptoBatch::seal_group(std::span<const CbcSealJob> jobs) {
       const std::size_t off = pass * Des::kBlockSize;
       const std::uint64_t p = off + Des::kBlockSize <= job.plaintext.size()
                                   ? Des::load_be64(job.plaintext.data() + off)
-                                  : tail_block(job.plaintext, off);
+                                  : tail_block(job.plaintext);
       blocks[i] = p ^ chain[i];
     }
     engine_.encrypt(blocks);
@@ -266,17 +265,11 @@ void CryptoBatch::open_scalar(const CbcOpenJob& job) {
 void CryptoBatch::seal_scalar(const CbcSealJob& job) {
   const std::size_t whole = job.plaintext.size() / Des::kBlockSize;
   std::uint64_t chain = job.iv;
-  const std::uint8_t* in = job.plaintext.data();
-  std::uint8_t* out = job.ciphertext;
-  for (std::size_t b = 0; b < whole; ++b) {
-    chain = job.des->encrypt_block(Des::load_be64(in) ^ chain);
-    Des::store_be64(chain, out);
-    in += Des::kBlockSize;
-    out += Des::kBlockSize;
-  }
-  chain = job.des->encrypt_block(
-      tail_block(job.plaintext, whole * Des::kBlockSize) ^ chain);
-  Des::store_be64(chain, out);
+  job.des->encrypt_cbc(chain, job.plaintext.data(), job.ciphertext, whole);
+  std::uint8_t last[Des::kBlockSize];
+  detail::pkcs7_last_block(job.plaintext, last);
+  job.des->encrypt_cbc(chain, last, job.ciphertext + whole * Des::kBlockSize,
+                       1);
   stats_.scalar_blocks += whole + 1;
 }
 

@@ -1,5 +1,7 @@
 #include "crypto/block_modes.hpp"
 
+#include <type_traits>
+
 #include "crypto/des3.hpp"
 
 namespace fbs::crypto {
@@ -52,9 +54,13 @@ void encrypt_into(const Cipher& cipher, CipherMode mode, std::uint64_t iv,
     case CipherMode::kCbc: {
       detail::pkcs7_pad_into(plaintext, out);
       std::uint64_t chain = iv;
-      for (std::size_t off = 0; off < out.size(); off += kBlock) {
-        chain = cipher.encrypt_block(Des::load_be64(&out[off]) ^ chain);
-        Des::store_be64(chain, &out[off]);
+      if constexpr (std::is_same_v<Cipher, Des>) {
+        cipher.encrypt_cbc(chain, out.data(), out.data(), out.size() / kBlock);
+      } else {
+        for (std::size_t off = 0; off < out.size(); off += kBlock) {
+          chain = cipher.encrypt_block(Des::load_be64(&out[off]) ^ chain);
+          Des::store_be64(chain, &out[off]);
+        }
       }
       return;
     }

@@ -37,6 +37,17 @@ inline void pkcs7_pad_into(util::BytesView data, util::Bytes& out) {
   std::memset(out.data() + data.size(), static_cast<int>(pad), pad);
 }
 
+/// The final CBC input block of `data` padded to a whole number of blocks:
+/// the bytes past its last whole block, then the PKCS#7 pad bytes.
+inline void pkcs7_last_block(util::BytesView data,
+                             std::uint8_t (&last)[Des::kBlockSize]) {
+  constexpr std::size_t kBlock = Des::kBlockSize;
+  const std::size_t whole = data.size() / kBlock * kBlock;
+  const std::size_t rem = data.size() - whole;
+  if (rem) std::memcpy(last, data.data() + whole, rem);
+  std::memset(last + rem, static_cast<int>(kBlock - rem), kBlock - rem);
+}
+
 inline bool pkcs7_unpad_in_place(util::Bytes& data) {
   constexpr std::size_t kBlock = Des::kBlockSize;
   if (data.empty() || data.size() % kBlock != 0) return false;

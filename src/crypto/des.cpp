@@ -1,5 +1,6 @@
 #include "crypto/des.hpp"
 
+#include <bit>
 #include <cassert>
 
 #include "crypto/des_tables.hpp"
@@ -53,20 +54,52 @@ inline void final_permutation(std::uint32_t& l, std::uint32_t& r) {
   t = ((l >> 4) ^ r) & 0x0F0F0F0Fu;  r ^= t;  l ^= t << 4;
 }
 
-/// The cipher function f(R, K). Rotating R right by one bit turns the E
-/// expansion's overlapping 6-bit groups into plain shift/mask extractions:
-/// group i of E(R) is bits [4i..4i+5] of the cyclic sequence
-/// R32 R1 R2 ... R31, which is exactly `u` read MSB-first.
-inline std::uint32_t feistel(std::uint32_t r, const std::uint8_t* k) {
-  const std::uint32_t u = (r >> 1) | (r << 31);
-  return kSp[0][((u >> 26) ^ k[0]) & 0x3F] |
-         kSp[1][((u >> 22) ^ k[1]) & 0x3F] |
-         kSp[2][((u >> 18) ^ k[2]) & 0x3F] |
-         kSp[3][((u >> 14) ^ k[3]) & 0x3F] |
-         kSp[4][((u >> 10) ^ k[4]) & 0x3F] |
-         kSp[5][((u >> 6) ^ k[5]) & 0x3F] |
-         kSp[6][((u >> 2) ^ k[6]) & 0x3F] |
-         kSp[7][((((u & 0xF) << 2) | (u >> 30)) ^ k[7]) & 0x3F];
+/// IP and FP on a whole block, high half first. FP(IP(x)) == x.
+inline std::uint64_t ip64(std::uint64_t block) {
+  std::uint32_t l = static_cast<std::uint32_t>(block >> 32);
+  std::uint32_t r = static_cast<std::uint32_t>(block);
+  initial_permutation(l, r);
+  return static_cast<std::uint64_t>(l) << 32 | r;
+}
+
+inline std::uint64_t fp64(std::uint64_t block) {
+  std::uint32_t l = static_cast<std::uint32_t>(block >> 32);
+  std::uint32_t r = static_cast<std::uint32_t>(block);
+  final_permutation(l, r);
+  return static_cast<std::uint64_t>(l) << 32 | r;
+}
+
+/// An identity the optimizer cannot see through. GCC's reassociation pass
+/// rewrites any OR expression, however parenthesized, into one linear
+/// chain; passing the partial results through here pins the tree shape.
+inline std::uint32_t opaque(std::uint32_t v) {
+#if defined(__GNUC__)
+  asm("" : "+r"(v));
+#endif
+  return v;
+}
+
+/// The cipher function f(R, K). Group i of the E expansion E(R) is bits
+/// [4i..4i+5] (MSB first) of the cyclic sequence R32 R1 R2 ... R31, which
+/// is rotr(R, 1). The even groups sit in disjoint fields of that word; the
+/// odd groups, group 8's wrap-around included, sit in disjoint fields of
+/// rotl(R, 1). So two XORs key all eight S-box inputs, and each index is
+/// one shift and mask. The eight lookups are ORed as a balanced tree:
+/// three levels deep on the round's critical path instead of the seven of
+/// a left-to-right chain.
+inline std::uint32_t feistel(std::uint32_t r, std::uint32_t ka,
+                             std::uint32_t kb) {
+  const std::uint32_t x = std::rotr(r, 1) ^ ka;
+  const std::uint32_t y = std::rotl(r, 1) ^ kb;
+  const std::uint32_t s01 =
+      opaque(kSp[0][x >> 26] | kSp[1][(y >> 24) & 0x3F]);
+  const std::uint32_t s23 =
+      opaque(kSp[2][(x >> 18) & 0x3F] | kSp[3][(y >> 16) & 0x3F]);
+  const std::uint32_t s45 =
+      opaque(kSp[4][(x >> 10) & 0x3F] | kSp[5][(y >> 8) & 0x3F]);
+  const std::uint32_t s67 =
+      opaque(kSp[6][(x >> 2) & 0x3F] | kSp[7][y & 0x3F]);
+  return opaque(s01 | s23) | opaque(s45 | s67);
 }
 
 }  // namespace
@@ -75,30 +108,55 @@ Des::Des(util::BytesView key) {
   assert(key.size() == kKeySize);
   const des_tables::KeySchedule ks =
       des_tables::key_schedule(load_be64(key.data()));
-  for (int round = 0; round < 16; ++round)
-    for (int chunk = 0; chunk < 8; ++chunk)
-      subkeys_[round][chunk] = static_cast<std::uint8_t>(
-          (ks.subkeys[round] >> (42 - 6 * chunk)) & 0x3F);
+  for (int round = 0; round < 16; ++round) {
+    std::uint32_t chunk[8];
+    for (int i = 0; i < 8; ++i)
+      chunk[i] = static_cast<std::uint32_t>(
+          (ks.subkeys[round] >> (42 - 6 * i)) & 0x3F);
+    // Field offsets match the shifts in feistel().
+    ka_[round] = chunk[0] << 26 | chunk[2] << 18 | chunk[4] << 10 |
+                 chunk[6] << 2;
+    kb_[round] = chunk[1] << 24 | chunk[3] << 16 | chunk[5] << 8 | chunk[7];
+  }
+}
+
+std::uint64_t Des::encrypt_rounds(std::uint64_t lr) const {
+  std::uint32_t l = static_cast<std::uint32_t>(lr >> 32);
+  std::uint32_t r = static_cast<std::uint32_t>(lr);
+  for (int round = 0; round < 16; round += 2) {
+    l ^= feistel(r, ka_[round], kb_[round]);
+    r ^= feistel(l, ka_[round + 1], kb_[round + 1]);
+  }
+  // The unrolled pairs absorb the per-round swap; preoutput is R16 L16.
+  return static_cast<std::uint64_t>(r) << 32 | l;
 }
 
 std::uint64_t Des::crypt(std::uint64_t block, bool decrypt) const {
+  if (!decrypt) return fp64(encrypt_rounds(ip64(block)));
   std::uint32_t l = static_cast<std::uint32_t>(block >> 32);
   std::uint32_t r = static_cast<std::uint32_t>(block);
   initial_permutation(l, r);
-  if (decrypt) {
-    for (int round = 15; round >= 0; round -= 2) {
-      l ^= feistel(r, subkeys_[round].data());
-      r ^= feistel(l, subkeys_[round - 1].data());
-    }
-  } else {
-    for (int round = 0; round < 16; round += 2) {
-      l ^= feistel(r, subkeys_[round].data());
-      r ^= feistel(l, subkeys_[round + 1].data());
-    }
+  for (int round = 15; round >= 0; round -= 2) {
+    l ^= feistel(r, ka_[round], kb_[round]);
+    r ^= feistel(l, ka_[round - 1], kb_[round - 1]);
   }
-  // The unrolled pairs absorb the per-round swap; preoutput is R16 L16.
   final_permutation(r, l);
   return static_cast<std::uint64_t>(r) << 32 | l;
+}
+
+void Des::encrypt_cbc(std::uint64_t& chain, const std::uint8_t* in,
+                      std::uint8_t* out, std::size_t nblocks) const {
+  // `state` is IP(C[i-1]), the previous block's preoutput. Only the rounds
+  // and one XOR sit on the serial chain; IP of the next plaintext and FP of
+  // this output are independent work the core overlaps with it.
+  std::uint64_t state = ip64(chain);
+  for (std::size_t i = 0; i < nblocks; ++i) {
+    state = encrypt_rounds(ip64(load_be64(in)) ^ state);
+    store_be64(fp64(state), out);
+    in += kBlockSize;
+    out += kBlockSize;
+  }
+  chain = fp64(state);
 }
 
 std::uint64_t Des::crypt_trace(std::uint64_t block, bool decrypt,
@@ -109,8 +167,8 @@ std::uint64_t Des::crypt_trace(std::uint64_t block, bool decrypt,
   trace.l[0] = l;
   trace.r[0] = r;
   for (int round = 0; round < 16; ++round) {
-    const auto& k = subkeys_[decrypt ? 15 - round : round];
-    const std::uint32_t next = l ^ feistel(r, k.data());
+    const int k = decrypt ? 15 - round : round;
+    const std::uint32_t next = l ^ feistel(r, ka_[k], kb_[k]);
     l = r;
     r = next;
     trace.l[round + 1] = l;
@@ -135,19 +193,6 @@ void Des::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
 
 void Des::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
   store_be64(decrypt_block(load_be64(in)), out);
-}
-
-std::uint64_t Des::load_be64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = v << 8 | p[i];
-  return v;
-}
-
-void Des::store_be64(std::uint64_t v, std::uint8_t* p) {
-  for (int i = 7; i >= 0; --i) {
-    p[i] = static_cast<std::uint8_t>(v);
-    v >>= 8;
-  }
 }
 
 }  // namespace fbs::crypto

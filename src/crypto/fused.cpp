@@ -3,48 +3,8 @@
 #include <algorithm>
 
 #include "crypto/block_modes.hpp"
-#include "crypto/md5.hpp"
 
 namespace fbs::crypto {
-
-FusedResult fused_keyed_md5_des_cbc(const Des& des, std::uint64_t iv,
-                                    util::BytesView mac_key,
-                                    util::BytesView mac_prefix,
-                                    util::BytesView body) {
-  FusedResult out;
-  Md5 mac;
-  mac.update(mac_key);
-  mac.update(mac_prefix);
-
-  const std::size_t kBlock = Des::kBlockSize;
-  const std::size_t whole = body.size() / kBlock * kBlock;
-  // PKCS#7 always adds 1..8 bytes, so the ciphertext is exactly one block
-  // past the last whole plaintext block; size it once up front.
-  out.ciphertext.resize(whole + kBlock);
-
-  std::uint64_t chain = iv;
-  std::size_t off = 0;
-  for (; off < whole; off += kBlock) {
-    // The single pass: this block is hashed and encrypted back to back
-    // while it is hot in cache.
-    mac.update(body.subspan(off, kBlock));
-    chain = des.encrypt_block(Des::load_be64(&body[off]) ^ chain);
-    Des::store_be64(chain, &out.ciphertext[off]);
-  }
-
-  // Tail: remaining plaintext is hashed; the padded final block encrypted.
-  const std::size_t rem = body.size() - whole;
-  if (rem) mac.update(body.subspan(whole, rem));
-  std::uint8_t last[Des::kBlockSize];
-  const std::uint8_t pad = static_cast<std::uint8_t>(kBlock - rem);
-  for (std::size_t i = 0; i < kBlock; ++i)
-    last[i] = i < rem ? body[whole + i] : pad;
-  chain = des.encrypt_block(Des::load_be64(last) ^ chain);
-  Des::store_be64(chain, &out.ciphertext[whole]);
-
-  out.mac = mac.finish();
-  return out;
-}
 
 void fused_seal_into(const Des& des, std::uint64_t iv, MacContext& mac,
                      util::BytesView mac_prefix, util::BytesView body,
@@ -52,25 +12,28 @@ void fused_seal_into(const Des& des, std::uint64_t iv, MacContext& mac,
   mac.begin();
   mac.update(mac_prefix);
 
-  const std::size_t kBlock = Des::kBlockSize;
+  constexpr std::size_t kBlock = Des::kBlockSize;
+  // One cache line (an MD5 block's worth) per step: the hash of chunk k
+  // has no dependency on the cipher chain of chunk k+1, so the core runs
+  // the two side by side while the chunk is still in L1.
+  constexpr std::size_t kChunk = 8 * kBlock;
   const std::size_t whole = body.size() / kBlock * kBlock;
+  // PKCS#7 always adds 1..8 bytes, so the ciphertext is exactly one block
+  // past the last whole plaintext block; size it once up front.
   ciphertext.resize(whole + kBlock);
 
   std::uint64_t chain = iv;
-  for (std::size_t off = 0; off < whole; off += kBlock) {
-    mac.update(body.subspan(off, kBlock));
-    chain = des.encrypt_block(Des::load_be64(&body[off]) ^ chain);
-    Des::store_be64(chain, &ciphertext[off]);
+  for (std::size_t off = 0; off < whole; off += kChunk) {
+    const std::size_t n = std::min(kChunk, whole - off);
+    des.encrypt_cbc(chain, &body[off], &ciphertext[off], n / kBlock);
+    mac.update(body.subspan(off, n));
   }
 
-  const std::size_t rem = body.size() - whole;
-  if (rem) mac.update(body.subspan(whole, rem));
-  std::uint8_t last[Des::kBlockSize];
-  const std::uint8_t pad = static_cast<std::uint8_t>(kBlock - rem);
-  for (std::size_t i = 0; i < kBlock; ++i)
-    last[i] = i < rem ? body[whole + i] : pad;
-  chain = des.encrypt_block(Des::load_be64(last) ^ chain);
-  Des::store_be64(chain, &ciphertext[whole]);
+  // Tail: remaining plaintext is hashed; the padded final block encrypted.
+  if (whole < body.size()) mac.update(body.subspan(whole));
+  std::uint8_t last[kBlock];
+  detail::pkcs7_last_block(body, last);
+  des.encrypt_cbc(chain, last, &ciphertext[whole], 1);
 
   mac.finish_into(mac_out);
 }

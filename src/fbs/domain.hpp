@@ -79,7 +79,7 @@ struct FbsConfig {
   std::uint64_t rekey_after_bytes = 0;
   util::TimeUs rekey_after_age = 0;
 
-  /// Route eligible DES-CBC decryption through the 64-wide bitsliced batch
+  /// Route eligible DES-CBC decryption through the 256-lane bitsliced batch
   /// engine: worker bursts are decrypted cross-datagram before per-datagram
   /// MAC verification, and single datagrams above the planner's threshold
   /// split their own blocks across lanes. false forces the scalar
@@ -186,7 +186,7 @@ class WorkContext {
   util::Bytes key;         // TFKC/RFKC cache key staging
   util::Bytes body;        // ciphertext staging on send
   crypto::Md5 kdf_hash;    // H of Section 5.2 (need not equal the MAC hash)
-  /// The 64-wide bitsliced DES engine plus its batch planner. Per worker,
+  /// The 256-lane bitsliced DES engine plus its batch planner. Per worker,
   /// not per domain: the lane registers are scratch, and keeping them with
   /// the calling thread lets every worker run wide passes concurrently.
   crypto::CryptoBatch batch;

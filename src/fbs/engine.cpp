@@ -436,8 +436,8 @@ ReceiveIntoOutcome FbsEndpoint::unprotect_item_locked(
         header.body.size() / crypto::Des::kBlockSize >=
             crypto::CryptoBatch::kScalarThresholdBlocks) {
       // Single-datagram bitslice path: CBC decrypt is block-parallel, so a
-      // large body splits its own blocks across the 64 lanes (a 1408-byte
-      // body is 176 blocks -- nearly three full passes).
+      // large body splits its own blocks across the 256 lanes (a 1408-byte
+      // body is 176 blocks -- one pass at 69% lane occupancy).
       auto batch_timer = dom.tracer.start(obs::Stage::kRecvBatchCrypto);
       body_out.resize(header.body.size());
       const crypto::CbcOpenJob job{&*fctx->des, &*fctx->bitslice, iv,

@@ -105,7 +105,7 @@ class FbsEndpoint {
   /// Items are grouped by owning shard and each group is processed under
   /// ONE domain lock; within a group, every eligible ciphertext (secret
   /// DES-CBC body of valid length, with config().bitslice_crypto set) is
-  /// decrypted by the 64-wide bitsliced batch engine in ctx.batch -- mixed
+  /// decrypted by the 256-lane bitsliced batch engine in ctx.batch -- mixed
   /// flow keys included -- before per-datagram MAC verification and the
   /// replay commit. Ineligible items (plaintext, 3DES, stream modes, other
   /// failures) take the scalar path inside the same critical section.

@@ -54,7 +54,7 @@ struct FlowCryptoContext {
   util::Bytes key;                  // K_f itself (kept for re-suiting)
   crypto::AlgorithmSuite suite{};   // what des/mac below were built for
   std::optional<crypto::Des> des;   // engaged unless the suite is cipherless
-  /// The same DES key expanded for the 64-wide bitsliced engine; derived
+  /// The same DES key expanded for the 256-lane bitsliced engine; derived
   /// once per flow (one transpose of the subkeys) so the batch scheduler
   /// can key lanes by pointer. Engaged exactly when `des` is and the suite
   /// runs single DES (the bitslice core is single-algorithm).

@@ -10,7 +10,7 @@
 //     -> FbsEndpoint::unprotect_burst_into(ctx, ...) with w's own
 //        WorkContext and body buffers from the worker's BufferPool lane:
 //        the whole popped burst enters the engine at once, so eligible
-//        DES-CBC ciphertexts are decrypted cross-datagram by the 64-wide
+//        DES-CBC ciphertexts are decrypted cross-datagram by the 256-lane
 //        bitsliced engine before per-datagram MAC verification
 //     -> accepted bodies go to the egress ring in one batched (blocking)
 //        push per burst -- work already paid for its cryptography;

@@ -14,6 +14,31 @@
 namespace fbs::crypto {
 namespace {
 
+/// The two-pass reference: a keyed-MD5 pass (KeyedPrefixMac's one-shot
+/// compute) then an encryption pass (encrypt()).
+struct TwoPass {
+  util::Bytes mac;
+  util::Bytes ciphertext;
+};
+
+TwoPass two_pass(const Des& des, std::uint64_t iv, util::BytesView mac_key,
+                 util::BytesView prefix, util::BytesView body) {
+  KeyedPrefixMac mac(std::make_unique<Md5>());
+  return {mac.compute(mac_key, {prefix, body}),
+          encrypt(des, CipherMode::kCbc, iv, body)};
+}
+
+/// fused_seal_into under a fresh KeyedPrefixMac/MD5 context for `mac_key`.
+TwoPass fused_seal(const Des& des, std::uint64_t iv, util::BytesView mac_key,
+                   util::BytesView prefix, util::BytesView body) {
+  KeyedPrefixMac mac_alg(std::make_unique<Md5>());
+  const auto ctx = mac_alg.make_context(mac_key);
+  TwoPass out{util::Bytes(ctx->mac_size()), {}};
+  fused_seal_into(des, iv, *ctx, prefix, body, out.mac.data(),
+                  out.ciphertext);
+  return out;
+}
+
 class FusedSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FusedSweep, IdenticalToTwoPassPath) {
@@ -25,20 +50,39 @@ TEST_P(FusedSweep, IdenticalToTwoPassPath) {
   const Des des(rng.next_bytes(8));
   const std::uint64_t iv = rng.next_u64();
 
-  // Reference: separate MAC pass then encryption pass.
-  KeyedPrefixMac mac(std::make_unique<Md5>());
-  const util::Bytes ref_mac = mac.compute(mac_key, {prefix, body});
-  const util::Bytes ref_ct = encrypt(des, CipherMode::kCbc, iv, body);
-
-  const FusedResult fused =
-      fused_keyed_md5_des_cbc(des, iv, mac_key, prefix, body);
-  EXPECT_EQ(fused.mac, ref_mac);
-  EXPECT_EQ(fused.ciphertext, ref_ct);
+  const TwoPass ref = two_pass(des, iv, mac_key, prefix, body);
+  const TwoPass fused = fused_seal(des, iv, mac_key, prefix, body);
+  EXPECT_EQ(fused.mac, ref.mac);
+  EXPECT_EQ(fused.ciphertext, ref.ciphertext);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FusedSweep,
                          ::testing::Values(0u, 1u, 7u, 8u, 9u, 15u, 16u, 63u,
                                            64u, 100u, 1024u, 1460u, 8192u));
+
+TEST(Fused, SealMatchesTwoPassAtEveryLength) {
+  // The seal hashes the body in 64-byte chunks after the 16-byte key and
+  // the 10-byte header prefix, so the chunks never line up with MD5's
+  // blocks: every body length 0..1500
+  // moves the chunk edges, the partial tail and the padding block against
+  // both the hash buffer and the cipher chain.
+  util::SplitMix64 rng(1500);
+  const util::Bytes mac_key = rng.next_bytes(16);
+  const Des des(rng.next_bytes(8));
+  KeyedPrefixMac mac_alg(std::make_unique<Md5>());
+  const auto ctx = mac_alg.make_context(mac_key);
+  util::Bytes ct;
+  for (std::size_t size = 0; size <= 1500; ++size) {
+    const util::Bytes prefix = rng.next_bytes(10);
+    const util::Bytes body = rng.next_bytes(size);
+    const std::uint64_t iv = rng.next_u64();
+    std::uint8_t tag[16];
+    fused_seal_into(des, iv, *ctx, prefix, body, tag, ct);
+    const TwoPass ref = two_pass(des, iv, mac_key, prefix, body);
+    ASSERT_EQ(util::Bytes(tag, tag + 16), ref.mac) << size;
+    ASSERT_EQ(ct, ref.ciphertext) << size;
+  }
+}
 
 TEST(Fused, DecryptsAndVerifiesLikeNormalOutput) {
   util::SplitMix64 rng(99);
@@ -48,8 +92,7 @@ TEST(Fused, DecryptsAndVerifiesLikeNormalOutput) {
   const Des des(rng.next_bytes(8));
   const std::uint64_t iv = 0x1122334455667788ull;
 
-  const FusedResult fused =
-      fused_keyed_md5_des_cbc(des, iv, mac_key, prefix, body);
+  const TwoPass fused = fused_seal(des, iv, mac_key, prefix, body);
   const auto plain = decrypt(des, CipherMode::kCbc, iv, fused.ciphertext);
   ASSERT_TRUE(plain.has_value());
   EXPECT_EQ(*plain, body);
@@ -60,9 +103,9 @@ TEST(Fused, DecryptsAndVerifiesLikeNormalOutput) {
 class FusedIntoSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FusedIntoSweep, SealIntoMatchesOneShot) {
-  // The per-flow-context seal must be bit-identical to the one-shot form:
-  // same MAC (the context has the key pre-absorbed) and same ciphertext,
-  // with the output buffer arriving dirty from a previous datagram.
+  // The per-flow-context seal must be bit-identical to the one-shot MAC and
+  // encrypt() (the context has the key pre-absorbed), with the output
+  // buffer arriving dirty from a previous datagram.
   const std::size_t size = GetParam();
   util::SplitMix64 rng(size + 7);
   const util::Bytes mac_key = rng.next_bytes(16);
@@ -71,8 +114,7 @@ TEST_P(FusedIntoSweep, SealIntoMatchesOneShot) {
   const Des des(rng.next_bytes(8));
   const std::uint64_t iv = rng.next_u64();
 
-  const FusedResult one_shot =
-      fused_keyed_md5_des_cbc(des, iv, mac_key, prefix, body);
+  const TwoPass one_shot = two_pass(des, iv, mac_key, prefix, body);
 
   KeyedPrefixMac mac_alg(std::make_unique<Md5>());
   const auto ctx = mac_alg.make_context(mac_key);
@@ -132,8 +174,7 @@ TEST(Fused, ContextIsReusableAcrossDatagrams) {
     const std::uint64_t iv = rng.next_u64();
     std::uint8_t tag[16];
     fused_seal_into(des, iv, *ctx, prefix, body, tag, ct);
-    const FusedResult expect =
-        fused_keyed_md5_des_cbc(des, iv, mac_key, prefix, body);
+    const TwoPass expect = two_pass(des, iv, mac_key, prefix, body);
     EXPECT_EQ(util::Bytes(tag, tag + 16), expect.mac) << i;
     EXPECT_EQ(ct, expect.ciphertext) << i;
   }

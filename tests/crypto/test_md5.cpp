@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "support/md5_reference.hpp"
+#include "util/rng.hpp"
+
 namespace fbs::crypto {
 namespace {
 
@@ -76,6 +79,26 @@ TEST(Md5, InterfaceMetadata) {
   Md5 ctx;
   EXPECT_EQ(ctx.digest_size(), 16u);
   EXPECT_EQ(ctx.block_size(), 64u);
+}
+
+TEST(Md5, MatchesLoopFormReferenceAtEveryLength) {
+  // The straight-line compression against the loop-form oracle, on random
+  // messages of every length 0..300 fed through random update() splits, so
+  // every buffer fill level meets every block boundary.
+  ASSERT_EQ(util::to_hex(md5_reference(util::to_bytes("abc"))),
+            "900150983cd24fb0d6963f7d28e17f72");
+  util::SplitMix64 rng(1321);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const util::Bytes msg = rng.next_bytes(len);
+    Md5 ctx;
+    std::size_t off = 0;
+    while (off < len) {
+      const std::size_t take = 1 + rng.next_below(len - off);
+      ctx.update(util::BytesView(msg).subspan(off, take));
+      off += take;
+    }
+    EXPECT_EQ(ctx.finish(), md5_reference(msg)) << len;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 #include <string>
 
 #include "fuzz/corpus.hpp"
@@ -12,6 +13,14 @@
 #include "fuzz/targets.hpp"
 
 namespace fbs::fuzz {
+
+// Found by ADL for the `const FuzzTarget*` test parameter. Without it the
+// listing prints the pointer, so the discovered ctest names would carry an
+// address that changes with every (ASLR-randomised) discovery run.
+void PrintTo(const FuzzTarget* target, std::ostream* os) {
+  *os << target->name;
+}
+
 namespace {
 
 std::uint64_t iteration_budget(const std::string& name) {

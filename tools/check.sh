@@ -34,6 +34,12 @@
 #                                 # internet trace), then the megaflow bench
 #                                 # at 64k flows with its steady-state /
 #                                 # expiry / memory-ceiling gates asserted
+#   tools/check.sh --crypto-smoke # ASan+UBSan build, run the crypto suites
+#                                 # (ctest -L crypto: DES/MD5 kernels against
+#                                 # their reference oracles, fused seal/open,
+#                                 # bitslice batches), then a Release
+#                                 # bench_crypto pass with the bitsliced-DES
+#                                 # speedup gate (>= 3x the scalar core)
 #   FBS_CHECK_JOBS=8 tools/check.sh   # override parallelism (default: nproc)
 #
 # Exit status is non-zero as soon as any step fails.
@@ -98,6 +104,43 @@ EOF
     --require "fbs_bench_parallel_throughput:parallel.wall_gate=1.0" \
     --require "fbs_bench_crypto:crypto.des_bitslice_speedup=3.0"
   echo "Bench smoke passed."
+  exit 0
+fi
+
+if [ "${1:-}" = "--crypto-smoke" ]; then
+  # Crypto kernel gate: the scalar DES/MD5 kernels are hand-scheduled
+  # straight-line code, so run their bit-exactness suites under ASan+UBSan,
+  # then measure in a Release tree. The bitslice gate divides the wide
+  # engine's throughput by the scalar core's, so a faster scalar core must
+  # still leave the wide engine >= 3x ahead. The relative diff against
+  # BENCH_seed.json is informational here; --bench-smoke gates it.
+  echo "== configure (build-sanitize) =="
+  cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFBS_SANITIZE=ON
+  echo "== build crypto suites =="
+  cmake --build build-sanitize -j "$JOBS" --target test_crypto
+  echo "== crypto suites (ctest -L crypto) =="
+  ctest --test-dir build-sanitize -L crypto -j "$JOBS" --output-on-failure
+  echo "== configure (build-release) =="
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+  echo "== build bench_crypto =="
+  cmake --build build-release -j "$JOBS" --target fbs_bench_crypto
+  OUT_DIR=build-release/crypto-smoke
+  mkdir -p "$OUT_DIR"
+  echo "== bench_crypto (self-timed gauges) =="
+  FBS_METRICS_OUT="$OUT_DIR/fbs_bench_crypto.json" \
+    build-release/bench/fbs_bench_crypto --benchmark_filter='$^'
+  python3 - "$OUT_DIR" <<'EOF'
+import json, sys, os
+out_dir = sys.argv[1]
+with open(os.path.join(out_dir, "fbs_bench_crypto.json")) as f:
+    snap = json.load(f)
+with open(os.path.join(out_dir, "current.json"), "w") as f:
+    json.dump({"fbs_bench_crypto": snap}, f, indent=1)
+EOF
+  echo "== compare against BENCH_seed.json (gate: bitslice speedup) =="
+  python3 tools/bench_compare.py BENCH_seed.json "$OUT_DIR/current.json" \
+    --no-fail --require "fbs_bench_crypto:crypto.des_bitslice_speedup=3.0"
+  echo "Crypto smoke passed."
   exit 0
 fi
 
