@@ -216,7 +216,7 @@ void BM_FusedMacEncrypt(benchmark::State& state) {
   std::uint8_t tag[crypto::Md5::kDigestSize];
   util::Bytes ct;
   for (auto _ : state) {
-    crypto::fused_seal_into(des, 42, *ctx, prefix, data, tag, ct);
+    crypto::fused_seal_into(des, 42, ctx, prefix, data, tag, ct);
     benchmark::DoNotOptimize(ct.data());
     benchmark::DoNotOptimize(tag);
     benchmark::ClobberMemory();
@@ -317,7 +317,7 @@ void emit_metrics() {
   std::uint8_t fused_tag[crypto::Md5::kDigestSize];
   util::Bytes fused_ct;
   reg.gauge("crypto.fused_md5_des_cbc.kBps").set(rate_kBps([&] {
-    crypto::fused_seal_into(des, 42, *fused_ctx, prefix, data, fused_tag,
+    crypto::fused_seal_into(des, 42, fused_ctx, prefix, data, fused_tag,
                             fused_ct);
     benchmark::DoNotOptimize(fused_ct.data());
     benchmark::DoNotOptimize(fused_tag);

@@ -102,12 +102,16 @@ inline std::uint32_t feistel(std::uint32_t r, std::uint32_t ka,
   return opaque(s01 | s23) | opaque(s45 | s67);
 }
 
+des_tables::KeySchedule schedule_of(util::BytesView key) {
+  assert(key.size() == Des::kKeySize);
+  return des_tables::key_schedule(Des::load_be64(key.data()));
+}
+
 }  // namespace
 
-Des::Des(util::BytesView key) {
-  assert(key.size() == kKeySize);
-  const des_tables::KeySchedule ks =
-      des_tables::key_schedule(load_be64(key.data()));
+Des::Des(util::BytesView key) : Des(schedule_of(key)) {}
+
+Des::Des(const des_tables::KeySchedule& ks) {
   for (int round = 0; round < 16; ++round) {
     std::uint32_t chunk[8];
     for (int i = 0; i < 8; ++i)

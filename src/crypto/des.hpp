@@ -7,11 +7,12 @@
 // (generated at compile time from the FIPS tables in des_tables.hpp), the E
 // expansion is one XOR of each of two rotated copies of the right half with
 // a 32-bit round-key word, and IP/FP are O(log n) bit-swap networks instead
-// of 64-entry permutation walks. The key schedule is computed once at
-// construction, so a Des object cached per flow amortizes it across every
-// datagram. The bit-at-a-time transcription of the standard survives as
-// DesReference (des_reference.hpp) and the two are tested bit-exact round by
-// round.
+// of 64-entry permutation walks. The PC1/PC2 key schedule is table-driven
+// too (des_tables.hpp) and computed once per key: a flow builds both this
+// core and its bitsliced schedule from one des_tables::KeySchedule. The
+// bit-at-a-time transcription of the standard survives only as the test
+// oracle DesReference (tests/support/des_reference.hpp), and the two are
+// tested bit-exact round by round.
 #pragma once
 
 #include <array>
@@ -23,6 +24,10 @@
 
 namespace fbs::crypto {
 
+namespace des_tables {
+struct KeySchedule;
+}
+
 class Des {
  public:
   static constexpr std::size_t kBlockSize = 8;
@@ -30,6 +35,9 @@ class Des {
 
   /// Key is 8 bytes; the 8 parity bits are ignored, per the standard.
   explicit Des(util::BytesView key);
+  /// From an already computed key schedule (what a flow shares with its
+  /// bitsliced schedule, so the PC1/PC2 work runs once per key).
+  explicit Des(const des_tables::KeySchedule& ks);
 
   /// Encrypt/decrypt exactly one 8-byte block, in-place variants included.
   std::uint64_t encrypt_block(std::uint64_t block) const;
@@ -48,7 +56,7 @@ class Des {
 
   /// Per-round intermediate values (FIPS 46 notation): l[0]/r[0] are L0/R0
   /// (after IP), l[i]/r[i] are Li/Ri after round i. For tests comparing
-  /// this implementation against DesReference round by round.
+  /// this implementation against the DesReference oracle round by round.
   struct RoundTrace {
     std::array<std::uint32_t, 17> l{};
     std::array<std::uint32_t, 17> r{};

@@ -252,11 +252,11 @@ inline void sbox_layer(Word* __restrict l, const Word* __restrict r,
 }  // namespace
 
 DesBitsliceKeySchedule DesBitsliceKeySchedule::from_key(util::BytesView key) {
-  return from_key64(Des::load_be64(key.data()));
+  return from_schedule(des_tables::key_schedule(Des::load_be64(key.data())));
 }
 
-DesBitsliceKeySchedule DesBitsliceKeySchedule::from_key64(std::uint64_t k64) {
-  const des_tables::KeySchedule ks = des_tables::key_schedule(k64);
+DesBitsliceKeySchedule DesBitsliceKeySchedule::from_schedule(
+    const des_tables::KeySchedule& ks) {
   DesBitsliceKeySchedule out;
   for (int round = 0; round < 16; ++round) {
     out.subkeys[static_cast<std::size_t>(round)] = ks.subkeys[round];

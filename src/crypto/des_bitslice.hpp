@@ -12,12 +12,14 @@
 // The gate networks are NOT hand-copied from the literature: they are
 // derived at compile time from the FIPS kSbox tables in des_tables.hpp by
 // a template-recursive positive-Davio decomposition (see des_bitslice.cpp),
-// so this implementation shares only the standard's constants with the
-// scalar cores and is differentially tested against DesReference.
+// so this implementation shares only the standard's constants (and the key
+// schedule) with the scalar core and is differentially tested against the
+// DesReference oracle.
 //
 // Key handling supports mixed keys across lanes: the compact per-key form
 // (DesBitsliceKeySchedule, 16 x 48-bit round keys -- what FlowCryptoContext
-// caches per flow) expands into the engine's 16x48 lane-mask vectors either
+// caches per flow, copied from the same des_tables::KeySchedule its scalar
+// Des is built from) expands into the engine's 16x48 lane-mask vectors either
 // all at once (broadcast or per-lane transpose, cheap) or one lane at a
 // time (the batch scheduler's job-boundary rekey).
 //
@@ -35,6 +37,10 @@
 
 namespace fbs::crypto {
 
+namespace des_tables {
+struct KeySchedule;
+}
+
 /// Compact per-key schedule: the 16 48-bit FIPS round keys, bit 47 = the
 /// standard's round-key bit 1. 128 bytes -- cheap enough to cache per flow
 /// next to the scalar Des object.
@@ -43,7 +49,9 @@ struct DesBitsliceKeySchedule {
 
   /// From an 8-byte DES key (parity bits ignored, as in Des).
   static DesBitsliceKeySchedule from_key(util::BytesView key);
-  static DesBitsliceKeySchedule from_key64(std::uint64_t k64);
+  /// From an already computed PC1/PC2 schedule: a copy, no key work.
+  static DesBitsliceKeySchedule from_schedule(
+      const des_tables::KeySchedule& ks);
 
   bool operator==(const DesBitsliceKeySchedule&) const = default;
 };

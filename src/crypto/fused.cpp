@@ -6,11 +6,11 @@
 
 namespace fbs::crypto {
 
-void fused_seal_into(const Des& des, std::uint64_t iv, MacContext& mac,
+void fused_seal_into(const Des& des, std::uint64_t iv, const MacContext& mac,
                      util::BytesView mac_prefix, util::BytesView body,
                      std::uint8_t* mac_out, util::Bytes& ciphertext) {
-  mac.begin();
-  mac.update(mac_prefix);
+  MacRun run(mac);
+  run.update(mac_prefix);
 
   constexpr std::size_t kBlock = Des::kBlockSize;
   // One cache line (an MD5 block's worth) per step: the hash of chunk k
@@ -26,26 +26,26 @@ void fused_seal_into(const Des& des, std::uint64_t iv, MacContext& mac,
   for (std::size_t off = 0; off < whole; off += kChunk) {
     const std::size_t n = std::min(kChunk, whole - off);
     des.encrypt_cbc(chain, &body[off], &ciphertext[off], n / kBlock);
-    mac.update(body.subspan(off, n));
+    run.update(body.subspan(off, n));
   }
 
   // Tail: remaining plaintext is hashed; the padded final block encrypted.
-  if (whole < body.size()) mac.update(body.subspan(whole));
+  if (whole < body.size()) run.update(body.subspan(whole));
   std::uint8_t last[kBlock];
   detail::pkcs7_last_block(body, last);
   des.encrypt_cbc(chain, last, &ciphertext[whole], 1);
 
-  mac.finish_into(mac_out);
+  run.finish_into(mac_out);
 }
 
-bool fused_open_into(const Des& des, std::uint64_t iv, MacContext& mac,
+bool fused_open_into(const Des& des, std::uint64_t iv, const MacContext& mac,
                      util::BytesView mac_prefix, util::BytesView ciphertext,
                      std::uint8_t* mac_out, util::Bytes& body) {
   const std::size_t kBlock = Des::kBlockSize;
   if (ciphertext.empty() || ciphertext.size() % kBlock != 0) return false;
 
-  mac.begin();
-  mac.update(mac_prefix);
+  MacRun run(mac);
+  run.update(mac_prefix);
   body.resize(ciphertext.size());
 
   // Every block but the last is hashed the moment it is decrypted; the
@@ -56,7 +56,7 @@ bool fused_open_into(const Des& des, std::uint64_t iv, MacContext& mac,
     const std::uint64_t ct = Des::load_be64(&ciphertext[off]);
     Des::store_be64(des.decrypt_block(ct) ^ chain, &body[off]);
     chain = ct;
-    if (off < last_off) mac.update({body.data() + off, kBlock});
+    if (off < last_off) run.update({body.data() + off, kBlock});
   }
 
   const std::uint8_t pad = body.back();
@@ -66,8 +66,8 @@ bool fused_open_into(const Des& des, std::uint64_t iv, MacContext& mac,
   body.resize(body.size() - pad);
 
   if (body.size() > last_off)
-    mac.update({body.data() + last_off, body.size() - last_off});
-  mac.finish_into(mac_out);
+    run.update({body.data() + last_off, body.size() - last_off});
+  run.finish_into(mac_out);
   return true;
 }
 
@@ -80,10 +80,7 @@ void fused_seal_batch(CryptoBatch& batch, std::span<FusedSealJob> jobs) {
       FusedSealJob& j = jobs[off + i];
       // The MAC covers the plaintext, so it needs no decrypt output and can
       // run now, per datagram, while the cipher leg goes wide below.
-      j.mac->begin();
-      j.mac->update(j.mac_prefix);
-      j.mac->update(j.body);
-      j.mac->finish_into(j.mac_out);
+      j.mac->compute_into({j.mac_prefix, j.body}, j.mac_out);
       j.ciphertext->resize(CryptoBatch::padded_size(j.body.size()));
       wide[i] = CbcSealJob{j.des, j.schedule, j.iv, j.body,
                            j.ciphertext->data()};
@@ -114,10 +111,7 @@ void fused_open_batch(CryptoBatch& batch, std::span<FusedOpenJob> jobs) {
     for (std::size_t k = 0; k < m; ++k) {
       FusedOpenJob& j = *live[k];
       if (!detail::pkcs7_unpad_in_place(*j.body)) continue;
-      j.mac->begin();
-      j.mac->update(j.mac_prefix);
-      j.mac->update(*j.body);
-      j.mac->finish_into(j.mac_out);
+      j.mac->compute_into({j.mac_prefix, *j.body}, j.mac_out);
       j.ok = true;
     }
   }

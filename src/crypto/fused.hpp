@@ -27,7 +27,7 @@ namespace fbs::crypto {
 /// the header material (the caller's flags|suite|confounder|timestamp)
 /// hashed between the key and the payload. `mac_out` receives
 /// mac.mac_size() bytes, and `ciphertext` is a reused caller buffer.
-void fused_seal_into(const Des& des, std::uint64_t iv, MacContext& mac,
+void fused_seal_into(const Des& des, std::uint64_t iv, const MacContext& mac,
                      util::BytesView mac_prefix, util::BytesView body,
                      std::uint8_t* mac_out, util::Bytes& ciphertext);
 
@@ -36,7 +36,7 @@ void fused_seal_into(const Des& des, std::uint64_t iv, MacContext& mac,
 /// the unpadded plaintext and `mac_out` receives the tag the sender would
 /// have produced (the caller compares it against the header's). Returns
 /// false on malformed length or PKCS#7 padding.
-bool fused_open_into(const Des& des, std::uint64_t iv, MacContext& mac,
+bool fused_open_into(const Des& des, std::uint64_t iv, const MacContext& mac,
                      util::BytesView mac_prefix, util::BytesView ciphertext,
                      std::uint8_t* mac_out, util::Bytes& body);
 
@@ -46,7 +46,7 @@ struct FusedSealJob {
   const Des* des = nullptr;
   const DesBitsliceKeySchedule* schedule = nullptr;
   std::uint64_t iv = 0;
-  MacContext* mac = nullptr;
+  const MacContext* mac = nullptr;
   util::BytesView mac_prefix;
   util::BytesView body;
   std::uint8_t* mac_out = nullptr;   // receives mac->mac_size() bytes
@@ -60,7 +60,7 @@ struct FusedOpenJob {
   const Des* des = nullptr;
   const DesBitsliceKeySchedule* schedule = nullptr;
   std::uint64_t iv = 0;
-  MacContext* mac = nullptr;
+  const MacContext* mac = nullptr;
   util::BytesView mac_prefix;
   util::BytesView ciphertext;
   std::uint8_t* mac_out = nullptr;

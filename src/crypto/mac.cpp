@@ -1,107 +1,109 @@
 #include "crypto/mac.hpp"
 
+#include <algorithm>
 #include <cstring>
-
-#include "crypto/md5.hpp"
-#include "crypto/sha1.hpp"
+#include <stdexcept>
+#include <type_traits>
 
 namespace fbs::crypto {
 
 namespace {
 
-/// Large enough for any digest we produce (MD5 = 16, SHA-1 = 20).
+/// Large enough for any digest (MD5 = 16, SHA-1 = 20) or block (64 bytes
+/// for both).
 constexpr std::size_t kMaxDigestSize = 64;
 
-/// Keyed-prefix context: the key is absorbed into `key_state_` once; each
-/// message restores that state into the working hash and streams from there.
-class KeyedPrefixContext final : public MacContext {
- public:
-  KeyedPrefixContext(const Hash& hash, util::BytesView key)
-      : key_state_(hash.clone()), work_(hash.clone()) {
-    key_state_->reset();
-    key_state_->update(key);
-  }
+/// Call fn on the hash a state holds, if any (the null MAC holds none).
+template <typename State, typename Fn>
+void with_hash(State& state, Fn&& fn) {
+  std::visit(
+      [&](auto& h) {
+        if constexpr (!std::is_same_v<std::decay_t<decltype(h)>,
+                                      std::monostate>)
+          fn(h);
+      },
+      state);
+}
 
-  std::size_t mac_size() const override { return work_->digest_size(); }
-  void begin() override { work_->copy_from(*key_state_); }
-  void update(util::BytesView chunk) override { work_->update(chunk); }
-  void finish_into(std::uint8_t* out) override { work_->finish_into(out); }
-
- private:
-  std::unique_ptr<Hash> key_state_;  // hash state with the key absorbed
-  std::unique_ptr<Hash> work_;
-};
-
-/// RFC 2104 HMAC context: the construction hashes overlong keys and absorbs
-/// the ipad/opad blocks exactly once, here; per message only the two
-/// precomputed states are restored.
-class HmacContext final : public MacContext {
- public:
-  HmacContext(const Hash& hash, util::BytesView key)
-      : inner_state_(hash.clone()),
-        outer_state_(hash.clone()),
-        work_(hash.clone()) {
-    const std::size_t block = hash.block_size();
-    util::Bytes k(key.begin(), key.end());
-    if (k.size() > block) {
-      work_->reset();
-      work_->update(k);
-      k = work_->finish();
-    }
-    k.resize(block, 0);
-
-    util::Bytes pad(block);
-    for (std::size_t i = 0; i < block; ++i) pad[i] = k[i] ^ 0x36;
-    inner_state_->reset();
-    inner_state_->update(pad);
-    for (std::size_t i = 0; i < block; ++i) pad[i] = k[i] ^ 0x5c;
-    outer_state_->reset();
-    outer_state_->update(pad);
-  }
-
-  std::size_t mac_size() const override { return work_->digest_size(); }
-  void begin() override { work_->copy_from(*inner_state_); }
-  void update(util::BytesView chunk) override { work_->update(chunk); }
-  void finish_into(std::uint8_t* out) override {
-    std::uint8_t inner_digest[kMaxDigestSize];
-    const std::size_t n = work_->digest_size();
-    work_->finish_into(inner_digest);
-    work_->copy_from(*outer_state_);
-    work_->update({inner_digest, n});
-    work_->finish_into(out);
-  }
-
- private:
-  std::unique_ptr<Hash> inner_state_;  // H after absorbing K ^ ipad
-  std::unique_ptr<Hash> outer_state_;  // H after absorbing K ^ opad
-  std::unique_ptr<Hash> work_;
-};
-
-class NullContext final : public MacContext {
- public:
-  explicit NullContext(std::size_t size) : size_(size) {}
-  std::size_t mac_size() const override { return size_; }
-  void begin() override {}
-  void update(util::BytesView) override {}
-  void finish_into(std::uint8_t* out) override { std::memset(out, 0, size_); }
-
- private:
-  std::size_t size_;
-};
+/// A reset state of the same algorithm as `hash`.
+template <typename State>
+State fresh_state(const Hash& hash) {
+  if (dynamic_cast<const Md5*>(&hash)) return Md5{};
+  if (dynamic_cast<const Sha1*>(&hash)) return Sha1{};
+  throw std::invalid_argument("MacContext: unsupported hash");
+}
 
 }  // namespace
 
-std::unique_ptr<MacContext> KeyedPrefixMac::make_context(
-    util::BytesView key) const {
-  return std::make_unique<KeyedPrefixContext>(*hash_, key);
+void MacContext::compute_into(std::initializer_list<util::BytesView> chunks,
+                              std::uint8_t* out) const {
+  MacRun run(*this);
+  for (const util::BytesView c : chunks) run.update(c);
+  run.finish_into(out);
 }
 
-std::unique_ptr<MacContext> HmacMac::make_context(util::BytesView key) const {
-  return std::make_unique<HmacContext>(*hash_, key);
+void MacRun::update(util::BytesView chunk) {
+  with_hash(work_, [&](auto& h) { h.update(chunk); });
 }
 
-std::unique_ptr<MacContext> NullMac::make_context(util::BytesView) const {
-  return std::make_unique<NullContext>(size_);
+void MacRun::finish_into(std::uint8_t* out) {
+  if (std::holds_alternative<std::monostate>(work_)) {
+    std::memset(out, 0, mac_.size_);
+    return;
+  }
+  if (!mac_.hmac_) {
+    with_hash(work_, [&](auto& h) { h.finish_into(out); });
+    return;
+  }
+  // HMAC: H(K ^ opad | H(K ^ ipad | message)), both pad states precomputed.
+  std::uint8_t inner_digest[kMaxDigestSize];
+  with_hash(work_, [&](auto& h) { h.finish_into(inner_digest); });
+  work_ = mac_.outer_;
+  with_hash(work_, [&](auto& h) {
+    h.update({inner_digest, h.digest_size()});
+    h.finish_into(out);
+  });
+}
+
+MacContext KeyedPrefixMac::make_context(util::BytesView key) const {
+  MacContext ctx;
+  ctx.size_ = static_cast<std::uint8_t>(hash_->digest_size());
+  ctx.inner_ = fresh_state<MacContext::State>(*hash_);
+  with_hash(ctx.inner_, [&](auto& h) { h.update(key); });
+  return ctx;
+}
+
+MacContext HmacMac::make_context(util::BytesView key) const {
+  MacContext ctx;
+  ctx.size_ = static_cast<std::uint8_t>(hash_->digest_size());
+  ctx.hmac_ = true;
+  ctx.inner_ = fresh_state<MacContext::State>(*hash_);
+  ctx.outer_ = ctx.inner_;
+  // Keys longer than a block are hashed first (RFC 2104); the padded key
+  // block is stack scratch, absorbed into the two pad states here once.
+  const std::size_t block = hash_->block_size();
+  std::uint8_t k[kMaxDigestSize] = {};
+  if (key.size() > block) {
+    MacContext::State t = ctx.inner_;
+    with_hash(t, [&](auto& h) {
+      h.update(key);
+      h.finish_into(k);
+    });
+  } else {
+    std::copy(key.begin(), key.end(), k);
+  }
+  std::uint8_t pad[kMaxDigestSize];
+  for (std::size_t i = 0; i < block; ++i) pad[i] = k[i] ^ 0x36;
+  with_hash(ctx.inner_, [&](auto& h) { h.update({pad, block}); });
+  for (std::size_t i = 0; i < block; ++i) pad[i] = k[i] ^ 0x5c;
+  with_hash(ctx.outer_, [&](auto& h) { h.update({pad, block}); });
+  return ctx;
+}
+
+MacContext NullMac::make_context(util::BytesView) const {
+  MacContext ctx;
+  ctx.size_ = static_cast<std::uint8_t>(size_);
+  return ctx;
 }
 
 util::Bytes KeyedPrefixMac::compute(

@@ -8,34 +8,63 @@
 // alternative algorithm selectable through the header's algorithm field.
 #pragma once
 
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <variant>
 
 #include "crypto/hash.hpp"
+#include "crypto/md5.hpp"
+#include "crypto/sha1.hpp"
 #include "util/bytes.hpp"
 
 namespace fbs::crypto {
 
-/// A MAC bound to one key: the streaming interface the datagram fast path
-/// uses. Construction does the per-key work once (hashing overlong keys,
-/// absorbing the HMAC pads); after that, each message costs one
-/// begin()/update().../finish_into() cycle with zero heap allocations.
-/// Cached per flow alongside the Des key schedule.
+/// A MAC bound to one key, held by value: construction (Mac::make_context)
+/// does the per-key work once -- absorbing the key; for HMAC, hashing an
+/// overlong key and absorbing both pads -- and keeps only fixed-size hash
+/// states, so a per-flow context owns no heap block. It is immutable
+/// afterwards: each message runs in a MacRun, whose working hash state is
+/// the caller's stack scratch, so one context serves any number of
+/// messages and concurrent readers. Cached per flow beside the Des key
+/// schedule.
 class MacContext {
  public:
-  virtual ~MacContext() = default;
-  virtual std::size_t mac_size() const = 0;
-  /// Start a new message; discards any partial state.
-  virtual void begin() = 0;
-  virtual void update(util::BytesView chunk) = 0;
-  /// Finish into a caller-provided buffer of mac_size() bytes.
-  virtual void finish_into(std::uint8_t* out) = 0;
+  std::size_t mac_size() const { return size_; }
+  /// Tag over the concatenation of `chunks` into `out` (mac_size() bytes).
+  void compute_into(std::initializer_list<util::BytesView> chunks,
+                    std::uint8_t* out) const;
 
-  /// Allocating convenience wrapper.
-  util::Bytes finish() {
-    util::Bytes tag(mac_size());
-    finish_into(tag.data());
-    return tag;
-  }
+ private:
+  friend class KeyedPrefixMac;
+  friend class HmacMac;
+  friend class NullMac;
+  friend class MacRun;
+  /// A state of the concrete hash; monostate for the null MAC.
+  using State = std::variant<std::monostate, Md5, Sha1>;
+
+  MacContext() = default;  // built only by the Mac implementations
+
+  State inner_;  // keyed prefix: key absorbed; HMAC: K ^ ipad absorbed
+  State outer_;  // HMAC only: K ^ opad absorbed
+  std::uint8_t size_ = 0;
+  bool hmac_ = false;
+};
+
+/// One message's MAC computation, started from a context's precomputed key
+/// state: begin at construction, then update()... and one finish_into().
+/// Meant as a stack object, so the per-message scratch is never shared.
+class MacRun {
+ public:
+  explicit MacRun(const MacContext& mac) : mac_(mac), work_(mac.inner_) {}
+
+  void update(util::BytesView chunk);
+  /// Write mac_size() bytes to `out`. The run is spent afterwards.
+  void finish_into(std::uint8_t* out);
+
+ private:
+  const MacContext& mac_;
+  MacContext::State work_;
 };
 
 /// Common interface: a MAC over (key, message chunks).
@@ -48,8 +77,7 @@ class Mac {
       util::BytesView key,
       std::initializer_list<util::BytesView> chunks) const = 0;
   /// Bind this MAC to `key`, doing all per-key precomputation up front.
-  virtual std::unique_ptr<MacContext> make_context(
-      util::BytesView key) const = 0;
+  virtual MacContext make_context(util::BytesView key) const = 0;
 };
 
 /// The paper's construction: tag = H(key | chunk_0 | chunk_1 | ...).
@@ -65,8 +93,7 @@ class KeyedPrefixMac final : public Mac {
   util::Bytes compute(
       util::BytesView key,
       std::initializer_list<util::BytesView> chunks) const override;
-  std::unique_ptr<MacContext> make_context(
-      util::BytesView key) const override;
+  MacContext make_context(util::BytesView key) const override;
 
  private:
   std::unique_ptr<Hash> hash_;
@@ -81,8 +108,7 @@ class HmacMac final : public Mac {
   util::Bytes compute(
       util::BytesView key,
       std::initializer_list<util::BytesView> chunks) const override;
-  std::unique_ptr<MacContext> make_context(
-      util::BytesView key) const override;
+  MacContext make_context(util::BytesView key) const override;
 
  private:
   std::unique_ptr<Hash> hash_;
@@ -99,8 +125,7 @@ class NullMac final : public Mac {
                       std::initializer_list<util::BytesView>) const override {
     return util::Bytes(size_, 0);
   }
-  std::unique_ptr<MacContext> make_context(
-      util::BytesView key) const override;
+  MacContext make_context(util::BytesView key) const override;
 
  private:
   std::size_t size_;

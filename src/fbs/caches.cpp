@@ -36,16 +36,24 @@ std::size_t cache_index(CacheHashKind kind, util::BytesView key,
   return 0;
 }
 
-std::size_t MissClassifier::stack_distance(util::BytesView key,
-                                           std::size_t limit) const {
-  // Bounded walk: callers only need to know whether the reuse distance is
-  // below the cache capacity, so stop once `limit` entries are passed.
-  std::size_t d = 0;
-  for (const auto& k : lru_) {
-    if (std::ranges::equal(k, key)) return d;
-    if (++d >= limit) break;
-  }
-  return SIZE_MAX;
+void MissClassifier::unlink(std::uint32_t i) {
+  Node& n = nodes_[i];
+  (n.newer == kNone ? mru_ : nodes_[n.newer].older) = n.older;
+  (n.older == kNone ? lru_ : nodes_[n.older].newer) = n.newer;
+}
+
+void MissClassifier::push_front(std::uint32_t i) {
+  Node& n = nodes_[i];
+  n.newer = kNone;
+  n.older = mru_;
+  (mru_ == kNone ? lru_ : nodes_[mru_].newer) = i;
+  mru_ = i;
+}
+
+void MissClassifier::touch(std::uint32_t i) {
+  if (i == mru_) return;
+  unlink(i);
+  push_front(i);
 }
 
 void MissClassifier::note_evicted(util::BytesView key) {
@@ -70,51 +78,52 @@ bool MissClassifier::ever_evicted(util::BytesView key) const {
   return true;
 }
 
-void MissClassifier::push_new(util::BytesView key) {
-  lru_.emplace_front(key.begin(), key.end());
-  pos_.try_emplace(lru_.front(), lru_.begin());
-  stack_key_bytes_ += key.size();
-  if (lru_.size() > max_depth_) {
-    const util::Bytes& victim = lru_.back();
-    note_evicted(victim);
-    stack_key_bytes_ -= victim.size();
-    pos_.erase(util::BytesView{victim});
-    lru_.pop_back();
+void MissClassifier::insert(util::BytesView key) {
+  std::uint32_t i;
+  if (index_.size() < capacity_) {
+    if (nodes_.empty()) {
+      // Sized once: a full shadow recycles its slots and never allocates.
+      nodes_.reserve(capacity_);
+      index_.reserve(capacity_);
+    }
+    i = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  } else {
+    // Full: the LRU key leaves the shadow. Its reuse distance is now at
+    // least the capacity, so its next miss is a capacity miss.
+    i = lru_;
+    Node& victim = nodes_[i];
+    note_evicted(victim.key);
+    index_.erase(util::BytesView{victim.key});
+    unlink(i);
   }
+  Node& n = nodes_[i];
+  key_bytes_ -= n.key.capacity();
+  n.key.assign(key.begin(), key.end());
+  key_bytes_ += n.key.capacity();
+  index_.try_emplace(util::BytesView{n.key}, i);
+  push_front(i);
 }
 
-MissClassifier::MissKind MissClassifier::classify_miss(util::BytesView key,
-                                                       std::size_t capacity) {
-  auto* it = pos_.find(key);
-  if (it == nullptr) {
-    // Not on the bounded stack. A key that fell off the far end has reuse
-    // distance > max_depth >= capacity, so if it was ever evicted this is a
-    // capacity miss; a genuinely new key is compulsory.
-    const MissKind kind =
-        ever_evicted(key) ? MissKind::kCapacity : MissKind::kCold;
-    push_new(key);
-    return kind;
+MissClassifier::MissKind MissClassifier::classify_miss(util::BytesView key) {
+  if (const std::uint32_t* i = index_.find(key)) {
+    // A fully associative LRU cache of the same size would have hit: the
+    // miss is due to set conflicts only.
+    touch(*i);
+    return MissKind::kCollision;
   }
-  const MissKind kind = stack_distance(key, capacity) < capacity
-                            // A fully-associative cache of the same size
-                            // would have hit: the miss is due to set
-                            // conflicts only.
-                            ? MissKind::kCollision
-                            : MissKind::kCapacity;
-  lru_.splice(lru_.begin(), lru_, *it);
+  const MissKind kind =
+      ever_evicted(key) ? MissKind::kCapacity : MissKind::kCold;
+  insert(key);
   return kind;
 }
 
 void MissClassifier::record_hit(util::BytesView key) {
-  // The node is spliced to the stack top in place: a cache hit costs no
-  // allocation here. (A hit on a key the classifier never saw miss -- e.g.
-  // one pinned directly into the cache -- still enters the stack.)
-  auto* it = pos_.find(key);
-  if (it != nullptr) {
-    lru_.splice(lru_.begin(), lru_, *it);
+  if (const std::uint32_t* i = index_.find(key)) {
+    touch(*i);
     return;
   }
-  push_new(key);
+  insert(key);
 }
 
 }  // namespace fbs::core

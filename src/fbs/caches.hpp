@@ -8,23 +8,22 @@
 // XOR-fold hashes it warns against, for the ablation bench.
 //
 // Misses are classified into the paper's three kinds -- compulsory (cold),
-// capacity, and collision (conflict) -- using a *bounded* LRU-stack
-// simulator: a non-cold miss whose reuse distance fits within the cache's
-// total capacity would have hit in a fully-associative cache, so it is a
-// collision miss; otherwise it is a capacity miss. The simulated stack is
-// capped (default kDefaultMaxDepth, covering the largest Figure 11
-// capacity), so classification memory and per-miss cost are bounded no
-// matter how many flows pass through -- the million-flow requirement of
-// DESIGN.md 5i. References deeper than the cap are capacity misses by
-// definition (reuse distance > depth >= capacity); cold detection for keys
-// that fell off the stack uses a fixed-size Bloom filter of everything ever
-// evicted, whose rare false positives shift a cold miss to capacity but
-// never perturb the hit/miss split.
+// capacity, and collision (conflict) -- exactly and in O(1) per reference.
+// By the LRU inclusion property, a reference's reuse distance is below C
+// exactly when the key is resident in a fully associative LRU cache of C
+// entries. So the classifier keeps such a cache as a shadow of the real
+// one (the same capacity, keys only): a miss on a key the shadow holds is
+// a collision miss, the set mapping alone lost it. A key absent from the
+// shadow either was evicted from it once (capacity miss) or was never seen
+// (cold); a fixed-size Bloom filter of every shadow eviction tells the
+// two apart. Its rare false positives shift a cold miss to capacity but
+// never perturb the hit/miss split. Memory is bounded by the capacity plus
+// the fixed filter, however many flows pass through -- the million-flow
+// requirement of DESIGN.md 5i.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <list>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -70,36 +69,39 @@ struct ByteRangeLess {
   }
 };
 
-/// Bounded LRU-stack miss classifier (fully-associative cache simulator,
-/// truncated at max_depth entries).
+/// Exact 3C miss classifier: a fully associative LRU shadow of the cache
+/// (capacity keys in an index-linked slab, found through a FlatMap) plus
+/// a Bloom filter of everything the shadow ever evicted.
 class MissClassifier {
  public:
   enum class MissKind { kCold, kCapacity, kCollision };
 
-  /// Default stack cap: covers the largest Figure 11 cache capacity (512)
-  /// with 2x headroom, so every classification the paper's study makes is
-  /// still exact.
-  static constexpr std::size_t kDefaultMaxDepth = 1024;
+  /// `capacity` is the total entry count of the cache being classified.
+  explicit MissClassifier(std::size_t capacity)
+      : capacity_(capacity ? capacity : 1) {}
+  // The index views the nodes' own key buffers, which a move carries over
+  // but a copy would not.
+  MissClassifier(const MissClassifier&) = delete;
+  MissClassifier& operator=(const MissClassifier&) = delete;
+  MissClassifier(MissClassifier&&) noexcept = default;
+  MissClassifier& operator=(MissClassifier&&) noexcept = default;
 
-  explicit MissClassifier(std::size_t max_depth = kDefaultMaxDepth)
-      : max_depth_(max_depth ? max_depth : 1) {}
-
-  /// Classify a miss on `key` for a cache holding `capacity` entries total,
-  /// then push the reference onto the stack.
-  MissKind classify_miss(util::BytesView key, std::size_t capacity);
-  /// Record a hit (moves the key to the top of the stack without
-  /// allocating: the list node is spliced, not reinserted).
+  /// Classify a miss on `key`, then make it the most recent reference.
+  MissKind classify_miss(util::BytesView key);
+  /// Record a hit: the key becomes the most recent reference. (A hit on a
+  /// key the shadow does not hold -- e.g. one pinned directly into the
+  /// cache, or a set-associative survivor the shadow already evicted --
+  /// enters the shadow.)
   void record_hit(util::BytesView key);
 
-  std::size_t max_depth() const { return max_depth_; }
-  std::size_t stack_size() const { return lru_.size(); }
-  /// Footprint of the simulator: position map slots + Bloom filter + stack
-  /// nodes. Bounded by max_depth (plus the fixed filter), not by the number
-  /// of distinct keys ever seen -- the regression test pins this.
+  /// Keys currently in the shadow; at most the capacity.
+  std::size_t size() const { return index_.size(); }
+  /// Footprint of the simulator: position index slots + slab + key bytes +
+  /// Bloom filter. Bounded by the capacity (plus the fixed filter), not by
+  /// the number of distinct keys ever seen -- the regression test pins this.
   std::size_t approx_memory_bytes() const {
-    return pos_.memory_bytes() + ever_evicted_.capacity() * sizeof(std::uint64_t) +
-           stack_key_bytes_ +
-           lru_.size() * (sizeof(void*) * 2 + sizeof(util::Bytes));
+    return index_.memory_bytes() + nodes_.capacity() * sizeof(Node) +
+           key_bytes_ + ever_evicted_.capacity() * sizeof(std::uint64_t);
   }
 
  private:
@@ -108,19 +110,33 @@ class MissClassifier {
   // few percent of *cold* misses only; at the paper's trace scale it is
   // effectively zero.
   static constexpr std::size_t kBloomWords = std::size_t{1} << 17;
+  static constexpr std::uint32_t kNone = UINT32_MAX;
 
-  std::size_t stack_distance(util::BytesView key, std::size_t limit) const;
-  void push_new(util::BytesView key);
+  /// One shadow entry: the key (its heap block is reused when the slot is
+  /// recycled for an equally long key) and its LRU neighbours by index.
+  struct Node {
+    util::Bytes key;
+    std::uint32_t newer = kNone;
+    std::uint32_t older = kNone;
+  };
+
+  void touch(std::uint32_t i);  // move node i to the MRU end
+  void unlink(std::uint32_t i);
+  void push_front(std::uint32_t i);
+  void insert(util::BytesView key);
   void note_evicted(util::BytesView key);
   bool ever_evicted(util::BytesView key) const;
 
-  std::size_t max_depth_;
-  std::list<util::Bytes> lru_;
-  util::FlatMap<util::Bytes, std::list<util::Bytes>::iterator,
-                util::ByteRangeHash, util::ByteRangeEq>
-      pos_;
+  std::size_t capacity_;
+  std::vector<Node> nodes_;  // reserved to capacity_ on first use
+  std::uint32_t mru_ = kNone;
+  std::uint32_t lru_ = kNone;
+  /// Key bytes (viewing the node's own buffer) -> node index.
+  util::FlatMap<util::BytesView, std::uint32_t, util::ByteRangeHash,
+                util::ByteRangeEq>
+      index_;
+  std::size_t key_bytes_ = 0;
   std::vector<std::uint64_t> ever_evicted_;  // Bloom bits, sized lazily
-  std::size_t stack_key_bytes_ = 0;
 };
 
 /// Set-associative software cache with LRU replacement within each set.
@@ -134,7 +150,8 @@ class SetAssociativeCache {
         nsets_(capacity / (ways ? ways : 1) ? capacity / (ways ? ways : 1)
                                             : 1),
         hash_(hash),
-        sets_(nsets_ * ways_) {}
+        sets_(nsets_ * ways_),
+        classifier_(nsets_ * ways_) {}
 
   std::size_t capacity() const { return nsets_ * ways_; }
 
@@ -148,7 +165,7 @@ class SetAssociativeCache {
       classifier_.record_hit(key);
       return &e->value;
     }
-    switch (classifier_.classify_miss(key, capacity())) {
+    switch (classifier_.classify_miss(key)) {
       case MissClassifier::MissKind::kCold: ++stats_.cold_misses; break;
       case MissClassifier::MissKind::kCapacity: ++stats_.capacity_misses; break;
       case MissClassifier::MissKind::kCollision: ++stats_.collision_misses; break;

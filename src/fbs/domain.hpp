@@ -185,6 +185,7 @@ class WorkContext {
   util::Bytes attrs;       // FlowAttributes encoding for FST/shard probes
   util::Bytes key;         // TFKC/RFKC cache key staging
   util::Bytes body;        // ciphertext staging on send
+  util::Bytes master;      // K_{S,D} staging, copied out of the MKC
   crypto::Md5 kdf_hash;    // H of Section 5.2 (need not equal the MAC hash)
   /// The 256-lane bitsliced DES engine plus its batch planner. Per worker,
   /// not per domain: the lane registers are scratch, and keeping them with

@@ -119,8 +119,8 @@ FbsEndpoint::FbsEndpoint(Principal self, const FbsConfig& config,
   if (config_.max_flows_per_shard != 0) config_.combined_fst_tfkc = false;
   // Every Mac the receive path could consult, built once. Mac instances are
   // immutable (make_context is const) so all domains and workers share
-  // these; the mutable per-flow MacContexts live in domain caches under the
-  // domain lock.
+  // these; the per-flow MacContexts they key live in domain caches under
+  // the domain lock.
   for (const auto alg :
        {crypto::MacAlgorithm::kKeyedMd5, crypto::MacAlgorithm::kHmacMd5,
         crypto::MacAlgorithm::kKeyedSha1, crypto::MacAlgorithm::kHmacSha1,
@@ -205,20 +205,17 @@ std::optional<std::pair<Sfl, FlowCryptoContext*>> FbsEndpoint::outgoing_flow(
         return std::make_pair(e.sfl, &e.ctx);
       }
     }
-    const auto master = keys_.master_key(d.destination);
-    if (!master) return std::nullopt;
+    if (!keys_.master_key_into(d.destination, ctx.master)) return std::nullopt;
     const Sfl sfl = sfl_alloc_.allocate();
     ++dom.send_stats.flow_keys_derived;
     auto derive_timer = dom.tracer.start(obs::Stage::kSendKeyDerive);
-    util::Bytes key =
-        derive_flow_key(ctx.kdf_hash, sfl, *master, self_, d.destination);
-    FlowCryptoContext fctx = make_flow_crypto_context(
-        std::move(key), config_.suite, suite_mac(config_.suite.mac));
+    e.ctx = make_flow_crypto_context(
+        derive_flow_key(ctx.kdf_hash, sfl, ctx.master, self_, d.destination),
+        config_.suite, suite_mac(config_.suite.mac));
     derive_timer.finish();
     e.valid = true;
     e.attrs = d.attrs;
     e.sfl = sfl;
-    e.ctx = std::move(fctx);
     e.created = e.last = now;
     e.datagrams = 1;
     e.bytes = d.body.size();
@@ -244,17 +241,16 @@ std::optional<std::pair<Sfl, FlowCryptoContext*>> FbsEndpoint::outgoing_flow(
   cache_key_into(mapping.sfl, d.destination, self_, ctx.key);
   if (auto* cached = dom.tfkc.lookup(ctx.key))
     return std::make_pair(mapping.sfl, cached);
-  const auto master = keys_.master_key(d.destination);
-  if (!master) return std::nullopt;
+  if (!keys_.master_key_into(d.destination, ctx.master)) return std::nullopt;
   ++dom.send_stats.flow_keys_derived;
   auto derive_timer = dom.tracer.start(obs::Stage::kSendKeyDerive);
-  util::Bytes key = derive_flow_key(ctx.kdf_hash, mapping.sfl, *master, self_,
-                                    d.destination);
-  FlowCryptoContext fctx = make_flow_crypto_context(
-      std::move(key), config_.suite, suite_mac(config_.suite.mac));
+  FlowCryptoContext* fctx = dom.tfkc.insert(
+      ctx.key, make_flow_crypto_context(
+                   derive_flow_key(ctx.kdf_hash, mapping.sfl, ctx.master,
+                                   self_, d.destination),
+                   config_.suite, suite_mac(config_.suite.mac)));
   derive_timer.finish();
-  return std::make_pair(mapping.sfl,
-                        dom.tfkc.insert(ctx.key, std::move(fctx)));
+  return std::make_pair(mapping.sfl, fctx);
 }
 
 bool FbsEndpoint::protect_into(WorkContext& ctx, const Datagram& d,
@@ -264,8 +260,8 @@ bool FbsEndpoint::protect_into(WorkContext& ctx, const Datagram& d,
   FlowDomain& dom =
       *domains_[shard_index(util::flow_hash64(ctx.attrs, kSendShardSeed))];
   // One lock for the whole datagram: flow resolution, key wear-out
-  // accounting, confounder draw, MAC/cipher (the per-flow MacContext is
-  // mutable state), and stats all belong to this domain.
+  // accounting, confounder draw, MAC/cipher, and stats all belong to this
+  // domain.
   std::lock_guard<std::mutex> lock(dom.mu);
 
   auto classify_timer = dom.tracer.start(obs::Stage::kSendClassify);
@@ -306,10 +302,7 @@ bool FbsEndpoint::protect_into(WorkContext& ctx, const Datagram& d,
   } else {
     {
       auto mac_timer = dom.tracer.start(obs::Stage::kSendMac);
-      fctx->mac->begin();
-      fctx->mac->update({prefix, kMacPrefixSize});
-      fctx->mac->update(d.body);
-      fctx->mac->finish_into(mac_buf);
+      fctx->mac->compute_into({{prefix, kMacPrefixSize}, d.body}, mac_buf);
     }
     if (header.secret) {
       auto cipher_timer = dom.tracer.start(obs::Stage::kSendCipher);
@@ -357,13 +350,19 @@ FlowCryptoContext* FbsEndpoint::incoming_flow_context(
     ensure_suite(*cached, suite, suite_mac(suite.mac));
     return cached;
   }
-  const auto master = keys_.master_key(source);
-  if (!master) return nullptr;
-  ++dom.receive_stats.flow_keys_derived;
-  util::Bytes key = derive_flow_key(ctx.kdf_hash, sfl, *master, source, self_);
+  const std::optional<FlowKey> key = derive_incoming(dom, ctx, source, sfl);
+  if (!key) return nullptr;
   return dom.rfkc.insert(
-      ctx.key,
-      make_flow_crypto_context(std::move(key), suite, suite_mac(suite.mac)));
+      ctx.key, make_flow_crypto_context(*key, suite, suite_mac(suite.mac)));
+}
+
+std::optional<FlowKey> FbsEndpoint::derive_incoming(FlowDomain& dom,
+                                                    WorkContext& ctx,
+                                                    const Principal& source,
+                                                    Sfl sfl) {
+  if (!keys_.master_key_into(source, ctx.master)) return std::nullopt;
+  ++dom.receive_stats.flow_keys_derived;
+  return derive_flow_key(ctx.kdf_hash, sfl, ctx.master, source, self_);
 }
 
 ReceiveError FbsEndpoint::reject(FlowDomain& dom, ReceiveError e) {
@@ -447,10 +446,7 @@ ReceiveIntoOutcome FbsEndpoint::unprotect_item_locked(
       if (!crypto::detail::pkcs7_unpad_in_place(body_out))
         return reject(dom, ReceiveError::kDecryptFailed);
       auto mac_timer = dom.tracer.start(obs::Stage::kRecvMac);
-      fctx->mac->begin();
-      fctx->mac->update({prefix, kMacPrefixSize});
-      fctx->mac->update(body_out);
-      fctx->mac->finish_into(mac_buf);
+      fctx->mac->compute_into({{prefix, kMacPrefixSize}, body_out}, mac_buf);
     } else if (header.suite.mac == crypto::MacAlgorithm::kKeyedMd5 &&
                header.suite.cipher == crypto::CipherAlgorithm::kDesCbc) {
       auto fused_timer = dom.tracer.start(obs::Stage::kRecvFused);
@@ -469,18 +465,12 @@ ReceiveIntoOutcome FbsEndpoint::unprotect_item_locked(
       cipher_timer.finish();
       if (!ok) return reject(dom, ReceiveError::kDecryptFailed);
       auto mac_timer = dom.tracer.start(obs::Stage::kRecvMac);
-      fctx->mac->begin();
-      fctx->mac->update({prefix, kMacPrefixSize});
-      fctx->mac->update(body_out);
-      fctx->mac->finish_into(mac_buf);
+      fctx->mac->compute_into({{prefix, kMacPrefixSize}, body_out}, mac_buf);
     }
   } else {
     body_out.assign(header.body.begin(), header.body.end());
     auto mac_timer = dom.tracer.start(obs::Stage::kRecvMac);
-    fctx->mac->begin();
-    fctx->mac->update({prefix, kMacPrefixSize});
-    fctx->mac->update(body_out);
-    fctx->mac->finish_into(mac_buf);
+    fctx->mac->compute_into({{prefix, kMacPrefixSize}, body_out}, mac_buf);
   }
 
   // (R7-9) the MAC covers flags | suite | confounder | timestamp | plaintext
@@ -531,9 +521,9 @@ ReceiveIntoOutcome FbsEndpoint::unprotect_into(WorkContext& ctx,
 
 // Burst chunk size: deliberately NOT tied to CryptoBatch::kLanes. The chunk
 // bounds a family of stack arrays below (the FlowCryptoContext snapshots
-// alone are ~1 KiB each), so it must stay modest even when the bitslice
-// engine widens; 64 datagrams of a few blocks each already fill the wide
-// passes, since CBC decrypt splits datagrams across lanes.
+// alone are over half a KiB each), so it must stay modest even when the
+// bitslice engine widens; 64 datagrams of a few blocks each already fill
+// the wide passes, since CBC decrypt splits datagrams across lanes.
 constexpr std::size_t kBurstChunk = 64;
 
 void FbsEndpoint::unprotect_burst_into(WorkContext& ctx,
@@ -625,7 +615,8 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
     // Phase A2: re-resolve each pending context with a peek -- no insert
     // can evict from here on, so these pointers stay valid through the
     // batch. An entry that a sibling flow's derive evicted mid-burst (set
-    // collision) is rebuilt into a local context instead of re-inserted.
+    // collision) is derived again into a local context instead of
+    // re-inserted -- a real derivation, counted and timed like any other.
     std::optional<FlowCryptoContext> local[kMax];
     crypto::CbcOpenJob jobs[kMax];
     struct Live {
@@ -643,14 +634,14 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
       if (fctx) {
         ensure_suite(*fctx, h.suite, suite_mac(h.suite.mac));
       } else {
-        const auto master = keys_.master_key(*it.source);
-        if (!master) {
+        auto key_timer = dom.tracer.start(obs::Stage::kRecvKey);
+        const std::optional<FlowKey> key =
+            derive_incoming(dom, ctx, *it.source, h.sfl);
+        if (!key) {
           it.outcome = reject(dom, ReceiveError::kUnknownPeer);
           continue;
         }
-        util::Bytes key =
-            derive_flow_key(ctx.kdf_hash, h.sfl, *master, *it.source, self_);
-        local[j].emplace(make_flow_crypto_context(std::move(key), h.suite,
+        local[j].emplace(make_flow_crypto_context(*key, h.suite,
                                                   suite_mac(h.suite.mac)));
         fctx = &*local[j];
       }
@@ -693,10 +684,7 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
       const std::size_t mac_n = fctx->mac->mac_size();
       {
         auto mac_timer = dom.tracer.start(obs::Stage::kRecvMac);
-        fctx->mac->begin();
-        fctx->mac->update({prefix, kMacPrefixSize});
-        fctx->mac->update(body);
-        fctx->mac->finish_into(mac_buf);
+        fctx->mac->compute_into({{prefix, kMacPrefixSize}, body}, mac_buf);
       }
       if (!util::ct_equal({mac_buf, mac_n}, h.mac)) {
         it.outcome = reject(dom, ReceiveError::kBadMac);

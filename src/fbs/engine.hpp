@@ -214,6 +214,11 @@ class FbsEndpoint {
   FlowCryptoContext* incoming_flow_context(FlowDomain& dom, WorkContext& ctx,
                                            const Principal& source, Sfl sfl,
                                            crypto::AlgorithmSuite suite);
+  /// The receive-side derivation of an RFKC miss: master key, then K_f,
+  /// counted in receive_stats.flow_keys_derived. nullopt if no master key
+  /// for `source` can be obtained. Caller holds dom.mu.
+  std::optional<FlowKey> derive_incoming(FlowDomain& dom, WorkContext& ctx,
+                                         const Principal& source, Sfl sfl);
 
   /// The in-lock body of unprotect_into, from the post-parse header checks
   /// through accept/reject. Caller holds dom.mu.

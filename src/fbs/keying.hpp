@@ -15,6 +15,7 @@
 // daemon on a miss.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -32,6 +33,8 @@
 #include "crypto/des_bitslice.hpp"
 #include "crypto/dh.hpp"
 #include "crypto/hash.hpp"
+#include "crypto/mac.hpp"
+#include "crypto/md5.hpp"
 #include "fbs/caches.hpp"
 #include "fbs/principal.hpp"
 #include "obs/metrics.hpp"
@@ -39,36 +42,42 @@
 
 namespace fbs::core {
 
+/// K_f is the MD5 digest of the derivation below: 16 bytes, held inline.
+inline constexpr std::size_t kFlowKeySize = crypto::Md5::kDigestSize;
+using FlowKey = std::array<std::uint8_t, kFlowKeySize>;
+
 /// K_f = H(sfl | K_{S,D} | S | D). S and D are the principal addresses;
 /// their inclusion ties the flow key to this ordered pair (Section 5.2).
-util::Bytes derive_flow_key(crypto::Hash& hash, Sfl sfl,
-                            util::BytesView master_key, const Principal& S,
-                            const Principal& D);
+FlowKey derive_flow_key(crypto::Md5& hash, Sfl sfl,
+                        util::BytesView master_key, const Principal& S,
+                        const Principal& D);
 
 /// Everything the datagram hot path needs from a flow key, derived once
-/// when the flow key is: the DES key schedule (16 subkey expansions) and
-/// the keyed MAC context (key hashing plus, for HMAC, both pad blocks).
-/// This is what the TFKC/RFKC and the combined FST+TFKC store, so a cache
-/// hit hands back ready-to-run cryptography instead of raw key bytes.
+/// when the flow key is: the DES key schedule and the keyed MAC state. This
+/// is what the TFKC/RFKC and the combined FST+TFKC store, so a cache hit
+/// hands back ready-to-run cryptography instead of raw key bytes. For the
+/// single-DES and cipherless suites it owns no heap block, so building one
+/// on a cache miss allocates nothing.
 struct FlowCryptoContext {
-  util::Bytes key;                  // K_f itself (kept for re-suiting)
+  FlowKey key{};                    // K_f itself (kept for re-suiting)
   crypto::AlgorithmSuite suite{};   // what des/mac below were built for
-  std::optional<crypto::Des> des;   // engaged unless the suite is cipherless
-  /// The same DES key expanded for the 256-lane bitsliced engine; derived
-  /// once per flow (one transpose of the subkeys) so the batch scheduler
-  /// can key lanes by pointer. Engaged exactly when `des` is and the suite
-  /// runs single DES (the bitslice core is single-algorithm).
+  std::optional<crypto::Des> des;   // engaged for the single-DES suites
+  /// The same PC1/PC2 schedule `des` was built from, in the form the
+  /// 256-lane bitsliced engine loads, so the batch scheduler can key lanes
+  /// by pointer. Engaged exactly when `des` is (the bitslice core is
+  /// single-algorithm).
   std::optional<crypto::DesBitsliceKeySchedule> bitslice;
-  /// Engaged instead of `des` for the kDes3Ede suite: K_f (16 bytes) is
-  /// stretched to the 24-byte EDE key as K_f | MD5(K_f)[0..8).
-  std::optional<crypto::Des3> des3;
-  std::unique_ptr<crypto::MacContext> mac;
+  /// Engaged instead of `des` for the kDes3Ede suite: K_f is stretched to
+  /// the 24-byte EDE key as K_f | MD5(K_f)[0..8). Out of line, so the three
+  /// schedules only this suite uses do not ride in every cache entry.
+  std::unique_ptr<crypto::Des3> des3;
+  /// The keyed MAC state, by value; engaged once built for `suite`.
+  std::optional<crypto::MacContext> mac;
 };
 
-/// Build the per-flow context for `suite`. `mac_alg` is the (cached,
-/// per-suite) Mac instance matching suite.mac -- the caller owns it; only
-/// the derived MacContext is stored.
-FlowCryptoContext make_flow_crypto_context(util::Bytes key,
+/// Build the per-flow context for `suite` from a kFlowKeySize-byte K_f.
+/// `mac_alg` is the (cached, per-suite) Mac instance matching suite.mac.
+FlowCryptoContext make_flow_crypto_context(util::BytesView key,
                                            crypto::AlgorithmSuite suite,
                                            const crypto::Mac& mac_alg);
 
@@ -195,7 +204,11 @@ class KeyManager {
              std::size_t mkc_ways = 2)
       : daemon_(daemon), mkc_(mkc_size, mkc_ways, hash) {}
 
-  /// K_{S,D} for self<->peer; cached in the MKC.
+  /// K_{S,D} for self<->peer, cached in the MKC, copied into `out`: a
+  /// caller that reuses `out` allocates nothing on an MKC hit. False (and
+  /// `out` unspecified) if no valid certificate for `peer` can be had.
+  bool master_key_into(const Principal& peer, util::Bytes& out);
+  /// Allocating convenience form of master_key_into.
   std::optional<util::Bytes> master_key(const Principal& peer);
 
   /// Drop a cached master key (e.g. after peer key rollover).

@@ -6,7 +6,7 @@
 #include <cstdint>
 
 #include "crypto/des.hpp"
-#include "crypto/des_reference.hpp"
+#include "support/des_reference.hpp"
 #include "util/rng.hpp"
 
 namespace fbs::crypto {

@@ -33,8 +33,8 @@ TwoPass fused_seal(const Des& des, std::uint64_t iv, util::BytesView mac_key,
                    util::BytesView prefix, util::BytesView body) {
   KeyedPrefixMac mac_alg(std::make_unique<Md5>());
   const auto ctx = mac_alg.make_context(mac_key);
-  TwoPass out{util::Bytes(ctx->mac_size()), {}};
-  fused_seal_into(des, iv, *ctx, prefix, body, out.mac.data(),
+  TwoPass out{util::Bytes(ctx.mac_size()), {}};
+  fused_seal_into(des, iv, ctx, prefix, body, out.mac.data(),
                   out.ciphertext);
   return out;
 }
@@ -77,7 +77,7 @@ TEST(Fused, SealMatchesTwoPassAtEveryLength) {
     const util::Bytes body = rng.next_bytes(size);
     const std::uint64_t iv = rng.next_u64();
     std::uint8_t tag[16];
-    fused_seal_into(des, iv, *ctx, prefix, body, tag, ct);
+    fused_seal_into(des, iv, ctx, prefix, body, tag, ct);
     const TwoPass ref = two_pass(des, iv, mac_key, prefix, body);
     ASSERT_EQ(util::Bytes(tag, tag + 16), ref.mac) << size;
     ASSERT_EQ(ct, ref.ciphertext) << size;
@@ -120,14 +120,14 @@ TEST_P(FusedIntoSweep, SealIntoMatchesOneShot) {
   const auto ctx = mac_alg.make_context(mac_key);
   std::uint8_t tag[16];
   util::Bytes ct(1, 0xEE);  // dirty
-  fused_seal_into(des, iv, *ctx, prefix, body, tag, ct);
+  fused_seal_into(des, iv, ctx, prefix, body, tag, ct);
   EXPECT_EQ(util::Bytes(tag, tag + 16), one_shot.mac);
   EXPECT_EQ(ct, one_shot.ciphertext);
 
   // And open_into inverts it, producing the sender's tag.
   std::uint8_t rtag[16];
   util::Bytes back(1, 0xEE);
-  ASSERT_TRUE(fused_open_into(des, iv, *ctx, prefix, ct, rtag, back));
+  ASSERT_TRUE(fused_open_into(des, iv, ctx, prefix, ct, rtag, back));
   EXPECT_EQ(back, body);
   EXPECT_EQ(util::Bytes(rtag, rtag + 16), one_shot.mac);
 }
@@ -145,13 +145,13 @@ TEST(Fused, OpenIntoRejectsMalformedCiphertext) {
   util::Bytes body;
   // Empty and non-block-multiple inputs are malformed (a sealed body always
   // carries at least the padding block).
-  EXPECT_FALSE(fused_open_into(des, 0, *ctx, {}, util::Bytes{}, tag, body));
+  EXPECT_FALSE(fused_open_into(des, 0, ctx, {}, util::Bytes{}, tag, body));
   EXPECT_FALSE(
-      fused_open_into(des, 0, *ctx, {}, util::Bytes(13, 0xAB), tag, body));
+      fused_open_into(des, 0, ctx, {}, util::Bytes(13, 0xAB), tag, body));
   // Random blocks decrypt to bad PKCS#7 padding with high probability.
   bool any_rejected = false;
   for (int i = 0; i < 8; ++i) {
-    if (!fused_open_into(des, rng.next_u64(), *ctx, {}, rng.next_bytes(16),
+    if (!fused_open_into(des, rng.next_u64(), ctx, {}, rng.next_bytes(16),
                          tag, body)) {
       any_rejected = true;
     }
@@ -173,7 +173,7 @@ TEST(Fused, ContextIsReusableAcrossDatagrams) {
     const util::Bytes body = rng.next_bytes(100 + 13 * i);
     const std::uint64_t iv = rng.next_u64();
     std::uint8_t tag[16];
-    fused_seal_into(des, iv, *ctx, prefix, body, tag, ct);
+    fused_seal_into(des, iv, ctx, prefix, body, tag, ct);
     const TwoPass expect = two_pass(des, iv, mac_key, prefix, body);
     EXPECT_EQ(util::Bytes(tag, tag + 16), expect.mac) << i;
     EXPECT_EQ(ct, expect.ciphertext) << i;
@@ -187,7 +187,7 @@ TEST(FusedBatch, SealBatchBitIdenticalToSequentialSealInto) {
   constexpr std::size_t kJobs = 100;
   std::vector<Des> des;
   std::vector<DesBitsliceKeySchedule> sched;
-  std::vector<std::unique_ptr<MacContext>> macs;
+  std::vector<MacContext> macs;
   std::vector<util::Bytes> bodies, prefixes;
   std::vector<std::uint64_t> ivs;
   KeyedPrefixMac mac_alg(std::make_unique<Md5>());
@@ -206,7 +206,7 @@ TEST(FusedBatch, SealBatchBitIdenticalToSequentialSealInto) {
   std::vector<FusedSealJob> jobs(kJobs);
   for (std::size_t i = 0; i < kJobs; ++i)
     jobs[i] = FusedSealJob{&des[i],      &sched[i],       ivs[i],
-                           macs[i].get(), prefixes[i],    bodies[i],
+                           &macs[i], prefixes[i],    bodies[i],
                            tags[i].data(), &ct[i]};
   CryptoBatch batch;
   fused_seal_batch(batch, jobs);
@@ -215,7 +215,7 @@ TEST(FusedBatch, SealBatchBitIdenticalToSequentialSealInto) {
   for (std::size_t i = 0; i < kJobs; ++i) {
     std::uint8_t ref_tag[16];
     util::Bytes ref_ct;
-    fused_seal_into(des[i], ivs[i], *macs[i], prefixes[i], bodies[i],
+    fused_seal_into(des[i], ivs[i], macs[i], prefixes[i], bodies[i],
                     ref_tag, ref_ct);
     EXPECT_EQ(ct[i], ref_ct) << i;
     EXPECT_EQ(util::Bytes(tags[i].begin(), tags[i].end()),
@@ -232,7 +232,7 @@ TEST(FusedBatch, OpenBatchBitIdenticalToSequentialOpenInto) {
   constexpr std::size_t kJobs = 80;
   std::vector<Des> des;
   std::vector<DesBitsliceKeySchedule> sched;
-  std::vector<std::unique_ptr<MacContext>> macs;
+  std::vector<MacContext> macs;
   std::vector<util::Bytes> cts, prefixes;
   std::vector<std::uint64_t> ivs;
   KeyedPrefixMac mac_alg(std::make_unique<Md5>());
@@ -250,7 +250,7 @@ TEST(FusedBatch, OpenBatchBitIdenticalToSequentialOpenInto) {
     } else {
       std::uint8_t tag[16];
       util::Bytes ct;
-      fused_seal_into(des.back(), ivs.back(), *macs.back(), prefixes.back(),
+      fused_seal_into(des.back(), ivs.back(), macs.back(), prefixes.back(),
                       rng.next_bytes(i * 23 % 400), tag, ct);
       cts.push_back(std::move(ct));
     }
@@ -263,7 +263,7 @@ TEST(FusedBatch, OpenBatchBitIdenticalToSequentialOpenInto) {
     jobs[i].des = &des[i];
     jobs[i].schedule = &sched[i];
     jobs[i].iv = ivs[i];
-    jobs[i].mac = macs[i].get();
+    jobs[i].mac = &macs[i];
     jobs[i].mac_prefix = prefixes[i];
     jobs[i].ciphertext = cts[i];
     jobs[i].mac_out = got_tag[i].data();
@@ -275,7 +275,7 @@ TEST(FusedBatch, OpenBatchBitIdenticalToSequentialOpenInto) {
   for (std::size_t i = 0; i < kJobs; ++i) {
     std::uint8_t ref_tag[16];
     util::Bytes ref_body;
-    const bool ref_ok = fused_open_into(des[i], ivs[i], *macs[i],
+    const bool ref_ok = fused_open_into(des[i], ivs[i], macs[i],
                                         prefixes[i], cts[i], ref_tag,
                                         ref_body);
     EXPECT_EQ(jobs[i].ok, ref_ok) << i;

@@ -118,10 +118,10 @@ TEST(Mac, SizesMatchUnderlyingHash) {
 }
 
 TEST(MacContext, MatchesOneShotComputeForEveryAlgorithm) {
-  // The per-flow streaming contexts (key precomputed once, then
-  // begin/update/finish_into per datagram) must agree with Mac::compute for
-  // every algorithm, key length (short, block-sized, overlong), and
-  // chunking, across repeated reuse of one context.
+  // The per-flow contexts (key precomputed once, then one MacRun of
+  // update/finish_into per datagram) must agree with Mac::compute for every
+  // algorithm, key length (short, block-sized, overlong), and chunking,
+  // across repeated reuse of one context.
   const util::Bytes keys[] = {
       util::to_bytes("k"), util::Bytes(16, 0x0b), util::Bytes(64, 0x3c),
       util::Bytes(80, 0xaa),  // overlong: exercises hash-the-key
@@ -137,32 +137,39 @@ TEST(MacContext, MatchesOneShotComputeForEveryAlgorithm) {
   };
   for (const auto& mac : macs) {
     for (const util::Bytes& key : keys) {
-      const auto ctx = mac->make_context(key);
-      ASSERT_EQ(ctx->mac_size(), mac->mac_size());
+      const MacContext ctx = mac->make_context(key);
+      ASSERT_EQ(ctx.mac_size(), mac->mac_size());
       for (int round = 0; round < 3; ++round) {  // context reuse
-        ctx->begin();
-        ctx->update(a);
-        ctx->update(b);
-        util::Bytes tag(ctx->mac_size());
-        ctx->finish_into(tag.data());
+        MacRun run(ctx);
+        run.update(a);
+        run.update(b);
+        util::Bytes tag(ctx.mac_size());
+        run.finish_into(tag.data());
         EXPECT_EQ(tag, mac->compute(key, {a, b}))
             << "key len " << key.size() << " round " << round;
+        util::Bytes one_call(ctx.mac_size());
+        ctx.compute_into({a, b}, one_call.data());
+        EXPECT_EQ(one_call, tag);
       }
     }
   }
 }
 
 TEST(MacContext, AbandonedMessageDoesNotPoisonTheNext) {
-  // The receive path bails out mid-datagram on padding failures; the next
-  // datagram's begin() must fully reset the context.
+  // The receive path bails out mid-datagram on padding failures; a run
+  // abandoned mid-message must leave the context untouched for the next.
   HmacMac mac(std::make_unique<Md5>());
   const util::Bytes key = util::to_bytes("flow key");
-  const auto ctx = mac.make_context(key);
-  ctx->begin();
-  ctx->update(util::to_bytes("partial garbage never finished"));
-  ctx->begin();
-  ctx->update(util::to_bytes("Hi There"));
-  EXPECT_EQ(ctx->finish(), mac.compute(key, {util::to_bytes("Hi There")}));
+  const MacContext ctx = mac.make_context(key);
+  {
+    MacRun abandoned(ctx);
+    abandoned.update(util::to_bytes("partial garbage never finished"));
+  }
+  MacRun run(ctx);
+  run.update(util::to_bytes("Hi There"));
+  util::Bytes tag(ctx.mac_size());
+  run.finish_into(tag.data());
+  EXPECT_EQ(tag, mac.compute(key, {util::to_bytes("Hi There")}));
 }
 
 TEST(Mac, HmacDiffersFromKeyedPrefix) {

@@ -210,6 +210,44 @@ TEST_F(BurstTest, DuplicatesAdmittedWithoutStrictReplay) {
   EXPECT_EQ(bob_burst->receive_stats().accepted, 2u);
 }
 
+TEST_F(BurstTest, EvictedSiblingRederivationsAreCountedAndTimed) {
+  // A one-entry RFKC: each of k distinct flows in one burst misses and
+  // derives in admission, evicting its predecessor; the batch phase then
+  // finds only the last flow cached and derives the other k-1 again. Those
+  // are real derivations: 2k-1 counted, and each one timed as recv.key.
+  constexpr std::size_t kFlows = 6;
+  FbsConfig cfg;
+  auto alice = sender(cfg);
+  cfg.rfkc_size = 1;
+  cfg.trace_stages = true;
+  auto bob = receiver(cfg);
+  std::vector<util::Bytes> wires;
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    const auto wire = alice->protect(
+        datagram(alice->self(), bob_node_->principal,
+                 "flow " + std::to_string(f) + std::string(100, 'y'),
+                 static_cast<std::uint16_t>(3000 + f)),
+        /*secret=*/true);
+    ASSERT_TRUE(wire.has_value());
+    wires.push_back(*wire);
+  }
+  std::vector<util::Bytes> bodies(kFlows);
+  std::vector<ReceiveBurstItem> items(kFlows);
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    items[i].source = &alice_node_->principal;
+    items[i].wire = wires[i];
+    items[i].body_out = &bodies[i];
+  }
+  WorkContext ctx;
+  bob->unprotect_burst_into(ctx, items);
+  for (const ReceiveBurstItem& it : items)
+    EXPECT_TRUE(std::holds_alternative<ReceivedInfo>(it.outcome));
+  EXPECT_EQ(bob->receive_stats().flow_keys_derived, 2 * kFlows - 1);
+  // recv.key: one sample per admitted item plus one per re-derivation.
+  EXPECT_EQ(bob->tracer().recorder(obs::Stage::kRecvKey).count(),
+            2 * kFlows - 1);
+}
+
 TEST_F(BurstTest, BitsliceDisabledStillMatches) {
   // bitslice_crypto = false (the fig8 scalar curve): the burst entry point
   // remains available and routes everything scalar with identical results.

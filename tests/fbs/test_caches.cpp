@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace fbs::core {
@@ -49,74 +52,165 @@ TEST(CacheIndex, ModuloClustersSequentialKeys) {
 }
 
 TEST(MissClassifier, FirstAccessIsCold) {
-  MissClassifier c;
-  EXPECT_EQ(c.classify_miss(key_of(1), 4), MissClassifier::MissKind::kCold);
-  EXPECT_EQ(c.classify_miss(key_of(2), 4), MissClassifier::MissKind::kCold);
+  MissClassifier c(4);
+  EXPECT_EQ(c.classify_miss(key_of(1)), MissClassifier::MissKind::kCold);
+  EXPECT_EQ(c.classify_miss(key_of(2)), MissClassifier::MissKind::kCold);
 }
 
 TEST(MissClassifier, ShortReuseIsCollision) {
-  MissClassifier c;
-  (void)c.classify_miss(key_of(1), 4);
-  (void)c.classify_miss(key_of(2), 4);
+  MissClassifier c(4);
+  (void)c.classify_miss(key_of(1));
+  (void)c.classify_miss(key_of(2));
   // Key 1 was referenced 1 step ago (< capacity 4): a fully associative
   // cache would have kept it, so a miss on it is a collision miss.
-  EXPECT_EQ(c.classify_miss(key_of(1), 4),
-            MissClassifier::MissKind::kCollision);
+  EXPECT_EQ(c.classify_miss(key_of(1)), MissClassifier::MissKind::kCollision);
 }
 
 TEST(MissClassifier, LongReuseIsCapacity) {
-  MissClassifier c;
-  (void)c.classify_miss(key_of(0), 2);
-  for (std::uint64_t i = 1; i <= 5; ++i) (void)c.classify_miss(key_of(i), 2);
+  MissClassifier c(2);
+  (void)c.classify_miss(key_of(0));
+  for (std::uint64_t i = 1; i <= 5; ++i) (void)c.classify_miss(key_of(i));
   // Key 0 is 5 deep in the stack; capacity 2 could not have held it.
-  EXPECT_EQ(c.classify_miss(key_of(0), 2),
-            MissClassifier::MissKind::kCapacity);
+  EXPECT_EQ(c.classify_miss(key_of(0)), MissClassifier::MissKind::kCapacity);
 }
 
 TEST(MissClassifier, HitsRefreshStackPosition) {
-  MissClassifier c;
-  (void)c.classify_miss(key_of(0), 2);
-  (void)c.classify_miss(key_of(1), 2);
-  c.record_hit(key_of(0));  // 0 back on top
-  (void)c.classify_miss(key_of(2), 2);
-  (void)c.classify_miss(key_of(3), 2);
-  // 1 is now deepest; 0 was refreshed more recently but still 3 deep.
-  EXPECT_EQ(c.classify_miss(key_of(1), 2),
-            MissClassifier::MissKind::kCapacity);
+  MissClassifier c(3);
+  (void)c.classify_miss(key_of(0));
+  (void)c.classify_miss(key_of(1));
+  c.record_hit(key_of(0));  // 0 back on top: stack 0 1
+  (void)c.classify_miss(key_of(2));  // 2 0 1
+  // Without the refresh 0 would be 2 deep and 1 only 1 deep; with it, 1 is
+  // the deeper key, and one more reference pushes it out of capacity 3.
+  (void)c.classify_miss(key_of(3));  // 3 2 0 | 1
+  EXPECT_EQ(c.classify_miss(key_of(0)), MissClassifier::MissKind::kCollision);
+  EXPECT_EQ(c.classify_miss(key_of(1)), MissClassifier::MissKind::kCapacity);
 }
 
 TEST(MissClassifier, EvictedKeyReclassifiesAsCapacityNotCold) {
-  // A key pushed off the bounded stack is remembered (Bloom filter of
-  // evicted keys): its return is a capacity miss -- the unbounded simulator
+  // A key pushed out of the shadow is remembered (Bloom filter of evicted
+  // keys): its return is a capacity miss -- an unbounded stack simulator
   // would have found it deep in the stack -- never a fresh cold miss.
-  MissClassifier c(/*max_depth=*/4);
-  (void)c.classify_miss(key_of(0), 2);
-  for (std::uint64_t i = 1; i < 10; ++i) (void)c.classify_miss(key_of(i), 2);
-  EXPECT_EQ(c.stack_size(), 4u);
-  EXPECT_EQ(c.classify_miss(key_of(0), 2),
-            MissClassifier::MissKind::kCapacity);
+  MissClassifier c(4);
+  (void)c.classify_miss(key_of(0));
+  for (std::uint64_t i = 1; i < 10; ++i) (void)c.classify_miss(key_of(i));
+  EXPECT_EQ(c.size(), 4u);
+  EXPECT_EQ(c.classify_miss(key_of(0)), MissClassifier::MissKind::kCapacity);
 }
 
-// Satellite regression: the classifier must hold bounded state on an
-// internet-scale reference stream. Before the bound, the LRU stack and
-// position map grew with every distinct key ever seen (gigabytes at 1M
-// flows); now both are capped by max_depth plus a fixed filter, so memory
-// plateaus and per-classification cost stays O(max_depth) -- sublinear in
-// (independent of) trace length.
+// The classifier must hold bounded state on an internet-scale reference
+// stream: the shadow holds exactly `capacity` keys plus a fixed filter, so
+// memory plateaus and the per-classification cost is O(1) -- independent
+// of trace length and of the capacity.
 TEST(MissClassifier, BoundedMemoryOnHundredThousandFlowTrace) {
-  MissClassifier c;  // default depth 1024 covers the fig11 study exactly
+  MissClassifier c(512);  // the largest Figure 11 capacity
   std::size_t mem_at_20k = 0;
   for (std::uint64_t i = 0; i < 100000; ++i) {
-    (void)c.classify_miss(key_of(i), 512);
+    (void)c.classify_miss(key_of(i));
     if (i == 19999) mem_at_20k = c.approx_memory_bytes();
   }
-  // The stack never outgrows its cap...
-  EXPECT_EQ(c.stack_size(), MissClassifier::kDefaultMaxDepth);
+  // The shadow never outgrows the capacity...
+  EXPECT_EQ(c.size(), 512u);
   // ...and the footprint stopped growing long before the trace ended: 80k
   // further distinct keys added zero bytes.
   EXPECT_EQ(c.approx_memory_bytes(), mem_at_20k);
-  // Sanity on the absolute bound: ~1 MiB Bloom filter + the capped stack.
+  // Sanity on the absolute bound: ~1 MiB Bloom filter + the shadow.
   EXPECT_LT(c.approx_memory_bytes(), std::size_t{4} << 20);
+}
+
+// Oracle for the property test below: an unbounded LRU stack, searched
+// linearly. A miss's reuse distance d is the key's depth in the stack;
+// d < capacity means collision, a key never seen is cold, anything else
+// is capacity. Slow and obviously right.
+class StackDistanceOracle {
+ public:
+  explicit StackDistanceOracle(std::size_t capacity) : capacity_(capacity) {}
+
+  void record_hit(std::uint64_t key) { (void)distance_and_raise(key); }
+  MissClassifier::MissKind classify_miss(std::uint64_t key) {
+    const std::size_t d = distance_and_raise(key);
+    if (d == SIZE_MAX) return MissClassifier::MissKind::kCold;
+    return d < capacity_ ? MissClassifier::MissKind::kCollision
+                         : MissClassifier::MissKind::kCapacity;
+  }
+
+ private:
+  std::size_t distance_and_raise(std::uint64_t key) {
+    const auto it = std::find(stack_.begin(), stack_.end(), key);
+    const std::size_t d =
+        it == stack_.end() ? SIZE_MAX
+                           : static_cast<std::size_t>(it - stack_.begin());
+    if (it != stack_.end()) stack_.erase(it);
+    stack_.insert(stack_.begin(), key);
+    return d;
+  }
+
+  std::size_t capacity_;
+  std::vector<std::uint64_t> stack_;  // most recent first
+};
+
+struct ThreeC {
+  std::uint64_t cold = 0, capacity = 0, collision = 0;
+  void add(MissClassifier::MissKind k) {
+    switch (k) {
+      case MissClassifier::MissKind::kCold: ++cold; break;
+      case MissClassifier::MissKind::kCapacity: ++capacity; break;
+      case MissClassifier::MissKind::kCollision: ++collision; break;
+    }
+  }
+  bool operator==(const ThreeC&) const = default;
+};
+
+// The O(1) shadow classifier against the brute-force stack-distance oracle,
+// reference by reference, on the reference streams a real cache produces:
+// a direct-mapped and a 2-way cache of the same capacity decide hit or
+// miss; both classifiers see the identical hit/miss sequence. Uniform and
+// Zipf-skewed key streams, every capacity 1..512 by powers of two.
+TEST(MissClassifier, MatchesUnboundedStackDistanceOracle) {
+  for (const bool zipf : {false, true}) {
+    for (std::size_t capacity = 1; capacity <= 512; capacity *= 2) {
+      for (const std::size_t ways : {std::size_t{1}, std::size_t{2}}) {
+        util::SplitMix64 rng(capacity * 7 + ways + (zipf ? 1000 : 0));
+        const std::size_t universe = capacity * 4 + 3;
+        // Zipf(1) over the universe by inverse-CDF on the harmonic sums.
+        std::vector<double> cdf(universe);
+        double acc = 0;
+        for (std::size_t r = 0; r < universe; ++r) {
+          acc += zipf ? 1.0 / static_cast<double>(r + 1) : 1.0;
+          cdf[r] = acc;
+        }
+        SetAssociativeCache<char> cache(capacity, ways);
+        MissClassifier fast(capacity);
+        StackDistanceOracle oracle(capacity);
+        ThreeC got, want;
+        for (int n = 0; n < 4000; ++n) {
+          const double u = rng.next_double() * acc;
+          const auto key = static_cast<std::uint64_t>(
+              std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+          const util::Bytes k = key_of(key);
+          if (cache.peek(k) != nullptr) {
+            (void)cache.lookup(k);
+            fast.record_hit(k);
+            oracle.record_hit(key);
+            continue;
+          }
+          (void)cache.lookup(k);
+          cache.insert(k, 1);
+          const auto f = fast.classify_miss(k);
+          const auto o = oracle.classify_miss(key);
+          ASSERT_EQ(f, o) << "capacity " << capacity << " ways " << ways
+                          << " zipf " << zipf << " reference " << n;
+          got.add(f);
+          want.add(o);
+        }
+        EXPECT_EQ(got, want);
+        // The cache's own classifier saw the same stream.
+        EXPECT_EQ(cache.stats().cold_misses, want.cold);
+        EXPECT_EQ(cache.stats().capacity_misses, want.capacity);
+        EXPECT_EQ(cache.stats().collision_misses, want.collision);
+      }
+    }
+  }
 }
 
 TEST(Cache, InsertThenLookupHits) {

@@ -245,6 +245,50 @@ TEST(ZeroAlloc, PipelinedBurstReceiveSteadyState) {
   EXPECT_EQ(pipe.stats().accepted.load(), 24u * kFlows);
 }
 
+TEST(ZeroAlloc, FlowKeyMissSteadyState) {
+  // The miss path, not just the warm hit: every datagram starts a fresh
+  // flow (a new source port), so the sender misses and evicts in the
+  // combined FST+TFKC and derives a new flow key, and the receiver misses
+  // and evicts in the RFKC (a new sfl) and derives it too. Once the caches,
+  // their 3C shadows and the scratch buffers have filled, a whole miss --
+  // MKC probe, derivation, context build, cache and shadow insert and
+  // eviction -- allocates nothing for the default suite.
+  TestWorld world(4245);
+  auto& a = world.add_node("a", "10.0.0.1");
+  auto& b = world.add_node("b", "10.0.0.2");
+  FbsConfig cfg;
+  ASSERT_TRUE(cfg.combined_fst_tfkc);
+  FbsEndpoint alice(a.principal, cfg, *a.keys, world.clock, world.rng);
+  FbsEndpoint bob(b.principal, cfg, *b.keys, world.clock, world.rng);
+
+  Datagram d = make_datagram(a.principal, b.principal, 200);
+  util::Bytes wire;
+  util::Bytes body;
+  std::uint16_t port = 1;
+  auto fresh_flow = [&] {
+    d.attrs.source_port = port++;
+    ASSERT_TRUE(alice.protect_into(d, /*secret=*/true, wire));
+    const auto outcome = bob.unprotect_into(a.principal, wire, body);
+    ASSERT_TRUE(std::holds_alternative<ReceivedInfo>(outcome));
+  };
+
+  // Warm-up: several times the 256-entry tables, so every slot, shadow
+  // node and evicted-key filter exists and every key buffer is sized.
+  for (int i = 0; i < 2048; ++i) fresh_flow();
+  const std::uint64_t sent_before = alice.send_stats().flow_keys_derived;
+  const std::uint64_t recv_before = bob.receive_stats().flow_keys_derived;
+
+  for (int i = 0; i < 256; ++i) {
+    CountingScope scope;
+    fresh_flow();
+    EXPECT_EQ(scope.news(), 0u) << "flow-key miss allocated (flow " << i << ")";
+  }
+  ASSERT_EQ(body, d.body);
+  // Every measured datagram really was a miss on both ends.
+  EXPECT_EQ(alice.send_stats().flow_keys_derived - sent_before, 256u);
+  EXPECT_EQ(bob.receive_stats().flow_keys_derived - recv_before, 256u);
+}
+
 TEST(ZeroAlloc, CountersActuallyCount) {
   // Sanity-check the hook itself so a silent linker surprise (the default
   // allocator winning) cannot make the suite pass vacuously.

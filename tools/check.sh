@@ -30,7 +30,8 @@
 #                                 # metrics JSON; not baseline-gated)
 #   tools/check.sh --megaflow-smoke  # ASan+UBSan build, run the million-flow
 #                                 # control-plane suites (ctest -L megaflow:
-#                                 # flat map, timer wheel, megaflow policy,
+#                                 # flat map, timer wheel, key caches and
+#                                 # their 3C classifier, megaflow policy,
 #                                 # internet trace), then the megaflow bench
 #                                 # at 64k flows with its steady-state /
 #                                 # expiry / memory-ceiling gates asserted
@@ -179,16 +180,18 @@ fi
 
 if [ "${1:-}" = "--megaflow-smoke" ]; then
   # Million-flow control plane gate (DESIGN.md 5i): the budgeted flat-hash +
-  # timer-wheel suites under ASan+UBSan, then the megaflow bench scaled down
-  # to 64k flows -- still enough to exercise budget eviction, the flash
-  # crowd and the DDoS window -- with its hard gates (zero steady-state heap
-  # growth, O(expired) sweeps, per-shard memory ceiling) asserted in-process.
+  # timer-wheel suites and the key caches' 3C classifier (an index-linked
+  # slab under a FlatMap, easy to get wrong) under ASan+UBSan, then the
+  # megaflow bench scaled down to 64k flows -- still enough to exercise
+  # budget eviction, the flash crowd and the DDoS window -- with its hard
+  # gates (zero steady-state heap growth, O(expired) sweeps, per-shard
+  # memory ceiling) asserted in-process.
   BUILD_DIR=build-sanitize
   echo "== configure ($BUILD_DIR) =="
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFBS_SANITIZE=ON
   echo "== build megaflow suites + bench =="
   cmake --build "$BUILD_DIR" -j "$JOBS" \
-    --target test_megaflow_structures test_megaflow_policy \
+    --target test_megaflow_structures test_caches test_megaflow_policy \
              test_internet_trace fbs_bench_megaflow
   echo "== megaflow suites (ctest -L megaflow) =="
   ctest --test-dir "$BUILD_DIR" -L megaflow -j "$JOBS" --output-on-failure
