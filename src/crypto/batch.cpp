@@ -23,28 +23,102 @@ std::uint64_t tail_block(util::BytesView plaintext) {
   return Des::load_be64(last);
 }
 
+/// 64-lane groups needed to hold `lanes` lit lanes (lanes 0..lanes-1).
+constexpr std::size_t groups_for(std::size_t lanes) {
+  return (lanes + DesBitslice::kGroupLanes - 1) / DesBitslice::kGroupLanes;
+}
+
+/// Wide cost of one pass lighting `lanes` lanes.
+constexpr double pass_ns(std::size_t lanes) {
+  using Cost = CryptoBatch::Cost;
+  return Cost::kPassNs + static_cast<double>(groups_for(lanes)) * Cost::kGroupNs;
+}
+
+/// Cost of loading lane keys for `lanes` lit lanes.
+constexpr double key_load_ns(std::size_t lanes, bool mixed_keys) {
+  using Cost = CryptoBatch::Cost;
+  return mixed_keys ? static_cast<double>(groups_for(lanes)) * Cost::kMixedGroupNs
+                    : Cost::kBroadcastNs;
+}
+
+/// What the wide path must undercut: the scalar cost of `blocks`, scaled
+/// by the routing margin.
+constexpr double scalar_bar_ns(std::size_t blocks) {
+  using Cost = CryptoBatch::Cost;
+  return static_cast<double>(blocks) * Cost::kScalarBlockNs *
+         Cost::kWideMargin;
+}
+
+/// Whether seal_cbc runs a group of `jobs` (<= kLanes) datagrams totalling
+/// `total_blocks` padded blocks, the longest `max_blocks`, wide: one job
+/// per lane and one block per pass, so every pass lights the jobs' groups
+/// and the longest job sets the pass count.
+bool seal_goes_wide(std::size_t jobs, std::size_t total_blocks,
+                    std::size_t max_blocks, bool mixed_keys) {
+  const double wide = static_cast<double>(max_blocks) * pass_ns(jobs) +
+                      key_load_ns(jobs, mixed_keys);
+  return wide < scalar_bar_ns(total_blocks);
+}
+
+template <typename Job>
+bool mixed_keys(std::span<const Job> jobs) {
+  for (const Job& job : jobs)
+    if (job.schedule != jobs.front().schedule) return true;
+  return false;
+}
+
 }  // namespace
+
+CryptoBatch::Stats& CryptoBatch::Stats::operator+=(const Stats& o) {
+  bitsliced_blocks += o.bitsliced_blocks;
+  scalar_blocks += o.scalar_blocks;
+  passes += o.passes;
+  key_loads += o.key_loads;
+  lane_rekeys += o.lane_rekeys;
+  return *this;
+}
+
+CryptoBatch::Stats CryptoBatch::Stats::operator-(const Stats& o) const {
+  return Stats{bitsliced_blocks - o.bitsliced_blocks,
+               scalar_blocks - o.scalar_blocks, passes - o.passes,
+               key_loads - o.key_loads, lane_rekeys - o.lane_rekeys};
+}
+
+CryptoBatch::OpenPlan CryptoBatch::plan_open(std::size_t total_blocks,
+                                             bool mixed_keys) {
+  // Full passes light every lane and beat the scalar core many times over
+  // (kLanes blocks against a pass plus kWords groups), so only the last,
+  // partial pass is a real decision: run it wide, or spill its blocks to
+  // the scalar core. A burst with no full pass must also pay its key load
+  // out of that one pass; with full passes the load is already paid. A
+  // lane run of one block never crosses a job boundary, so a burst with no
+  // full pass never rekeys.
+  const std::size_t full = total_blocks / kLanes;
+  const std::size_t rem = total_blocks % kLanes;
+  bool last_wide = false;
+  if (rem != 0) {
+    const double wide =
+        pass_ns(rem) + (full == 0 ? key_load_ns(rem, mixed_keys) : 0.0);
+    last_wide = wide < scalar_bar_ns(rem);
+  }
+  OpenPlan plan;
+  plan.passes = full + (last_wide ? 1 : 0);
+  plan.wide_blocks = full * kLanes + (last_wide ? rem : 0);
+  return plan;
+}
 
 void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
   std::size_t total = 0;
   for (const CbcOpenJob& job : jobs) total += open_blocks(job);
   if (total == 0) return;
-  if (total < kScalarThresholdBlocks) {
+  const bool mixed = mixed_keys(jobs);
+  const OpenPlan plan = plan_open(total, mixed);
+  if (plan.passes == 0) {
     for (const CbcOpenJob& job : jobs) open_scalar(job);
     return;
   }
-
-  // A non-multiple-of-kLanes total would spend a whole extra gate-network
-  // pass on a mostly-empty lane set (worst case: kLanes+1 blocks = one full
-  // pass plus a 1/kLanes-filled one). When the leftover is small enough
-  // that the scalar core finishes it faster than one wide pass would --
-  // the wide engine runs ~4x the scalar per-byte throughput (DESIGN.md 5h),
-  // so below kLanes/4 blocks -- peel it off the end of the global sequence
-  // and run it scalar instead, keeping every wide pass full.
-  constexpr std::size_t kWideOverScalar = 4;
-  std::size_t spill = total % kLanes;
-  if (spill * kWideOverScalar >= kLanes) spill = 0;
-  const std::size_t wide_total = total - spill;
+  const std::size_t wide_total = plan.wide_blocks;
+  const std::size_t spill = total - wide_total;
 
   // CBC decrypt is block-parallel across (and within) datagrams: treat the
   // burst as one job-major global block sequence and give each lane a
@@ -52,16 +126,19 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
   // job boundary. Lane state is raw pointers plus the running chain word,
   // so the steady-state pass touches no job metadata at all.
   struct Cursor {
-    const std::uint8_t* ct = nullptr;  // next ciphertext block
-    std::uint8_t* pt = nullptr;        // next plaintext slot
-    std::uint64_t chain = 0;           // CBC chain into the next block
-    std::size_t remaining = 0;         // blocks left in this lane's run
-    std::size_t left_in_job = 0;       // blocks left in the current job
-    std::size_t job = 0;               // index into jobs
+    const std::uint8_t* ct;   // next ciphertext block
+    std::uint8_t* pt;         // next plaintext slot
+    std::uint64_t chain;      // CBC chain into the next block
+    std::size_t remaining;    // blocks left in this lane's run
+    std::size_t left_in_job;  // blocks left in the current job
+    std::size_t job;          // index into jobs
   };
-  Cursor cur[kLanes];
+  // Lanes 0..rem-1 carry q+1 blocks, the rest q; with no full pass only
+  // lanes 0..rem-1 carry any, and the rest are never touched.
   const std::size_t q = wide_total / kLanes;
   const std::size_t rem = wide_total % kLanes;
+  const std::size_t used = q != 0 ? kLanes : rem;
+  Cursor cur[kLanes];
   {
     // Invariant between lanes: (j, b) points at an unconsumed block.
     std::size_t j = 0;
@@ -73,18 +150,16 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
       }
     };
     normalize();
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    for (std::size_t lane = 0; lane < used; ++lane) {
       std::size_t len = q + (lane < rem ? 1 : 0);
+      const CbcOpenJob& job = jobs[j];
       Cursor& c = cur[lane];
       c.remaining = len;
-      if (len > 0) {
-        const CbcOpenJob& job = jobs[j];
-        c.job = j;
-        c.ct = job.ciphertext.data() + Des::kBlockSize * b;
-        c.pt = job.plaintext + Des::kBlockSize * b;
-        c.left_in_job = open_blocks(job) - b;
-        c.chain = b == 0 ? job.iv : Des::load_be64(c.ct - Des::kBlockSize);
-      }
+      c.job = j;
+      c.ct = job.ciphertext.data() + Des::kBlockSize * b;
+      c.pt = job.plaintext + Des::kBlockSize * b;
+      c.left_in_job = open_blocks(job) - b;
+      c.chain = b == 0 ? job.iv : Des::load_be64(c.ct - Des::kBlockSize);
       while (len > 0) {
         const std::size_t step = std::min(len, open_blocks(jobs[j]) - b);
         b += step;
@@ -94,42 +169,37 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
     }
   }
 
+  // Lanes without work get no key (set_lanes skips a group with none).
   const DesBitsliceKeySchedule* lane_sched[kLanes];
-  bool single_key = true;
-  for (const CbcOpenJob& job : jobs) {
-    if (job.schedule != jobs.front().schedule) {
-      single_key = false;
-      break;
-    }
-  }
-  if (single_key) {
+  if (!mixed) {
     engine_.set_all_lanes(*jobs.front().schedule);
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    for (std::size_t lane = 0; lane < used; ++lane) {
       lane_sched[lane] = jobs.front().schedule;
     }
   } else {
-    std::array<const DesBitsliceKeySchedule*, kLanes> ptrs;
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      ptrs[lane] = cur[lane].remaining != 0 ? jobs[cur[lane].job].schedule
-                                            : jobs.front().schedule;
-      lane_sched[lane] = ptrs[lane];
+    std::array<const DesBitsliceKeySchedule*, kLanes> ptrs{};
+    for (std::size_t lane = 0; lane < used; ++lane) {
+      ptrs[lane] = lane_sched[lane] = jobs[cur[lane].job].schedule;
     }
     engine_.set_lanes(ptrs);
   }
+  ++stats_.key_loads;
 
-  const std::size_t passes = q + (rem != 0 ? 1 : 0);
-  for (std::size_t pass = 0; pass < passes; ++pass) {
+  // Every pass but a final partial one lights all lanes; that one lights
+  // lanes 0..rem-1.
+  for (std::size_t pass = 0; pass < plan.passes; ++pass) {
+    const std::size_t lit = pass < q ? kLanes : rem;
+    const std::size_t groups = groups_for(lit);
     std::uint64_t blocks[kLanes];
     std::uint64_t cin[kLanes];
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      blocks[lane] = cin[lane] =
-          cur[lane].remaining != 0 ? Des::load_be64(cur[lane].ct) : 0;
+    for (std::size_t lane = 0; lane < lit; ++lane) {
+      blocks[lane] = cin[lane] = Des::load_be64(cur[lane].ct);
     }
-    engine_.decrypt(blocks);
+    std::fill(blocks + lit, blocks + groups * DesBitslice::kGroupLanes, 0);
+    engine_.decrypt(blocks, groups);
     ++stats_.passes;
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    for (std::size_t lane = 0; lane < lit; ++lane) {
       Cursor& c = cur[lane];
-      if (c.remaining == 0) continue;
       Des::store_be64(blocks[lane] ^ c.chain, c.pt);
       c.chain = cin[lane];
       c.ct += Des::kBlockSize;
@@ -199,27 +269,21 @@ void CryptoBatch::seal_group(std::span<const CbcSealJob> jobs) {
     total += n;
     passes = std::max(passes, n);
   }
-  if (total < kScalarThresholdBlocks) {
+  const bool mixed = mixed_keys(jobs);
+  if (!seal_goes_wide(jobs.size(), total, passes, mixed)) {
     for (const CbcSealJob& job : jobs) seal_scalar(job);
     return;
   }
 
-  bool single_key = true;
-  for (const CbcSealJob& job : jobs) {
-    if (job.schedule != jobs.front().schedule) {
-      single_key = false;
-      break;
-    }
-  }
-  if (single_key) {
+  if (!mixed) {
     engine_.set_all_lanes(*jobs.front().schedule);
   } else {
-    std::array<const DesBitsliceKeySchedule*, kLanes> ptrs;
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      ptrs[lane] = jobs[std::min(lane, jobs.size() - 1)].schedule;
-    }
+    std::array<const DesBitsliceKeySchedule*, kLanes> ptrs{};
+    for (std::size_t i = 0; i < jobs.size(); ++i) ptrs[i] = jobs[i].schedule;
     engine_.set_lanes(ptrs);
   }
+  ++stats_.key_loads;
+  const std::size_t groups = groups_for(jobs.size());
 
   std::uint64_t chain[kLanes];
   for (std::size_t i = 0; i < jobs.size(); ++i) chain[i] = jobs[i].iv;
@@ -235,7 +299,7 @@ void CryptoBatch::seal_group(std::span<const CbcSealJob> jobs) {
                                   : tail_block(job.plaintext);
       blocks[i] = p ^ chain[i];
     }
-    engine_.encrypt(blocks);
+    engine_.encrypt(blocks, groups);
     ++stats_.passes;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const CbcSealJob& job = jobs[i];

@@ -14,13 +14,15 @@ using des_tables::kExpansion;
 using des_tables::kFp;
 using des_tables::kIp;
 using des_tables::kPbox;
+using des_tables::kPc2;
 using des_tables::kSbox;
+using des_tables::kShifts;
 
 /// The gate network's word: kWords 64-lane groups evaluated per boolean op.
 /// GCC/Clang lower &, |, ^, ~ on this type to one SIMD op where the target
 /// has 256-bit registers (AVX2) and to kWords scalar ops otherwise, so the
 /// same source covers both. may_alias lets crypt() view the uint64_t key
-/// rows in ks_ as Words without strict-aliasing UB.
+/// planes in planes_ as Words without strict-aliasing UB.
 typedef std::uint64_t Word
     __attribute__((vector_size(sizeof(std::uint64_t) * DesBitslice::kWords),
                    may_alias));
@@ -222,13 +224,34 @@ constexpr std::array<std::uint8_t, 32> pbox_inv() {
 }
 inline constexpr std::array<std::uint8_t, 32> kPboxInv = pbox_inv();
 
+/// kRoundPlanes[round][t]: the key plane (0 = C0 bit 1 ... 55 = D0 bit 28)
+/// that round key K(round+1)'s bit t+1 is. PC2 picks position kPc2[t] of
+/// C|D after the round's cumulative left rotation s, and a 28-bit register
+/// rotated left by s has C0's bit (i + s) mod 28 at position i.
+constexpr std::array<std::array<std::uint8_t, 48>, 16> round_planes() {
+  std::array<std::array<std::uint8_t, 48>, 16> sel{};
+  unsigned s = 0;
+  for (std::size_t round = 0; round < 16; ++round) {
+    s += kShifts[round];
+    for (std::size_t t = 0; t < 48; ++t) {
+      const unsigned p = kPc2[t] - 1u;
+      const unsigned half = p / 28 * 28;
+      sel[round][t] = static_cast<std::uint8_t>(half + (p - half + s) % 28);
+    }
+  }
+  return sel;
+}
+inline constexpr auto kRoundPlanes = round_planes();
+
 /// One round's full S-box layer: E expansion and P are index wiring only.
-/// r[] holds R's 32 bit-vectors, rk the round's 48 key vectors; the S-box
-/// outputs are XOR'ed into l[] through the inverse P-box, so after this
-/// l holds L ^ f(R, rk).
+/// r[] holds R's 32 bit-vectors; the round's 48 key vectors are the key
+/// planes selected by `sel` (a kRoundPlanes row). The S-box outputs are
+/// XOR'ed into l[] through the inverse P-box, so after this l holds
+/// L ^ f(R, K).
 template <std::size_t... S>
 inline void sbox_layer(Word* __restrict l, const Word* __restrict r,
-                       const Word* __restrict rk, std::index_sequence<S...>) {
+                       const Word* __restrict planes,
+                       const std::uint8_t* sel, std::index_sequence<S...>) {
   (...,
    [&] {
      // Feed the inputs through this S-box's optimized split order; the
@@ -236,7 +259,7 @@ inline void sbox_layer(Word* __restrict l, const Word* __restrict r,
      Word x[6];
      for (int k = 0; k < 6; ++k) {
        const unsigned in = order_at(S, k);
-       x[k] = r[kExpansion[6 * S + in] - 1] ^ rk[6 * S + in];
+       x[k] = r[kExpansion[6 * S + in] - 1] ^ planes[sel[6 * S + in]];
      }
      l[kPboxInv[4 * S + 0]] ^=
          Davio<permute_tt(sbox_tt(S, 0), kSboxOrder[S]), 6>::eval(x);
@@ -249,6 +272,21 @@ inline void sbox_layer(Word* __restrict l, const Word* __restrict r,
    }());
 }
 
+/// One swap stage of the 64x64 transpose: rows k and k+J exchange their
+/// off-diagonal J-bit blocks. The inner loop walks a contiguous run of J
+/// rows against the run J rows below it, so for J >= the vector width the
+/// compiler turns each run into a few wide loads, shifts and stores.
+template <unsigned J>
+inline void transpose_stage(std::uint64_t* __restrict m, std::uint64_t mask) {
+  for (unsigned base = 0; base < 64; base += 2 * J) {
+    for (unsigned k = base; k < base + J; ++k) {
+      const std::uint64_t t = (m[k] ^ (m[k + J] >> J)) & mask;
+      m[k] ^= t;
+      m[k + J] ^= t << J;
+    }
+  }
+}
+
 }  // namespace
 
 DesBitsliceKeySchedule DesBitsliceKeySchedule::from_key(util::BytesView key) {
@@ -257,80 +295,71 @@ DesBitsliceKeySchedule DesBitsliceKeySchedule::from_key(util::BytesView key) {
 
 DesBitsliceKeySchedule DesBitsliceKeySchedule::from_schedule(
     const des_tables::KeySchedule& ks) {
-  DesBitsliceKeySchedule out;
-  for (int round = 0; round < 16; ++round) {
-    out.subkeys[static_cast<std::size_t>(round)] = ks.subkeys[round];
+  return DesBitsliceKeySchedule{ks.cd0};
+}
+
+std::uint64_t DesBitsliceKeySchedule::round_key(int round) const {
+  std::uint64_t k = 0;
+  for (std::size_t t = 0; t < 48; ++t) {
+    const unsigned p = kRoundPlanes[static_cast<std::size_t>(round)][t];
+    k = k << 1 | ((cd0 >> (55 - p)) & 1);
   }
-  return out;
+  return k;
 }
 
 void DesBitslice::transpose64(std::uint64_t m[kGroupLanes]) {
   // Hacker's Delight 7-3, in place: swap progressively smaller off-diagonal
-  // sub-blocks. Three nested log-steps, ~700 ops total.
-  std::uint64_t mask = 0x00000000FFFFFFFFull;
-  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
-      const std::uint64_t t = (m[k] ^ (m[k | j] >> j)) & mask;
-      m[k] ^= t;
-      m[k | j] ^= t << j;
-    }
-  }
+  // sub-blocks, six stages of 32 row pairs each.
+  transpose_stage<32>(m, 0x00000000FFFFFFFFull);
+  transpose_stage<16>(m, 0x0000FFFF0000FFFFull);
+  transpose_stage<8>(m, 0x00FF00FF00FF00FFull);
+  transpose_stage<4>(m, 0x0F0F0F0F0F0F0F0Full);
+  transpose_stage<2>(m, 0x3333333333333333ull);
+  transpose_stage<1>(m, 0x5555555555555555ull);
 }
 
 void DesBitslice::set_all_lanes(const DesBitsliceKeySchedule& ks) {
-  for (int round = 0; round < 16; ++round) {
-    const std::uint64_t sk = ks.subkeys[static_cast<std::size_t>(round)];
-    auto& dst = ks_[static_cast<std::size_t>(round)];
-    for (std::size_t t = 0; t < 48; ++t) {
-      const std::uint64_t v = (sk >> (47 - t)) & 1 ? ~0ull : 0;
-      for (std::size_t w = 0; w < kWords; ++w) dst[t * kWords + w] = v;
-    }
+  for (std::size_t p = 0; p < kKeyPlanes; ++p) {
+    const std::uint64_t v = 0 - ((ks.cd0 >> (55 - p)) & 1);
+    for (std::size_t w = 0; w < kWords; ++w) planes_[p * kWords + w] = v;
   }
 }
 
 void DesBitslice::set_lanes(
     const std::array<const DesBitsliceKeySchedule*, kLanes>& lanes) {
-  // Per round, per 64-lane group: gather the group's 48-bit subkeys
-  // left-aligned, transpose, and the first 48 rows are exactly the group's
-  // lane-mask words. 16 x kWords transposes ~= a cipher pass, vs ~100
-  // passes' worth of one-lane updates.
-  for (int round = 0; round < 16; ++round) {
-    auto& dst = ks_[static_cast<std::size_t>(round)];
-    for (std::size_t w = 0; w < kWords; ++w) {
-      std::uint64_t m[kGroupLanes];
-      for (std::size_t i = 0; i < kGroupLanes; ++i) {
-        m[i] = lanes[w * kGroupLanes + i]
-                   ->subkeys[static_cast<std::size_t>(round)]
-               << 16;
-      }
-      transpose64(m);
-      for (std::size_t t = 0; t < 48; ++t) dst[t * kWords + w] = m[t];
+  // Per 64-lane group: stack the lanes' C0|D0 left-aligned as rows, and
+  // after one transpose row p is exactly plane p of the group.
+  for (std::size_t w = 0; w < kWords; ++w) {
+    std::uint64_t m[kGroupLanes];
+    bool lit = false;
+    for (std::size_t i = 0; i < kGroupLanes; ++i) {
+      const DesBitsliceKeySchedule* ks = lanes[w * kGroupLanes + i];
+      m[i] = ks ? ks->cd0 << 8 : 0;
+      lit |= ks != nullptr;
     }
+    if (!lit) continue;
+    transpose64(m);
+    for (std::size_t p = 0; p < kKeyPlanes; ++p) planes_[p * kWords + w] = m[p];
   }
 }
 
 void DesBitslice::set_lane(std::size_t lane, const DesBitsliceKeySchedule& ks) {
   const std::size_t w = lane / kGroupLanes;
-  const std::uint64_t bit = 1ull << (63 - lane % kGroupLanes);
-  for (int round = 0; round < 16; ++round) {
-    const std::uint64_t sk = ks.subkeys[static_cast<std::size_t>(round)];
-    auto& dst = ks_[static_cast<std::size_t>(round)];
-    for (std::size_t t = 0; t < 48; ++t) {
-      if ((sk >> (47 - t)) & 1) {
-        dst[t * kWords + w] |= bit;
-      } else {
-        dst[t * kWords + w] &= ~bit;
-      }
-    }
+  const unsigned shift = 63 - lane % kGroupLanes;
+  const std::uint64_t bit = 1ull << shift;
+  for (std::size_t p = 0; p < kKeyPlanes; ++p) {
+    std::uint64_t& plane = planes_[p * kWords + w];
+    plane = (plane & ~bit) | (((ks.cd0 >> (55 - p)) & 1) << shift);
   }
 }
 
-void DesBitslice::crypt(std::uint64_t blocks[kLanes], bool decrypt) const {
+void DesBitslice::crypt(std::uint64_t blocks[kLanes], std::size_t groups,
+                        bool decrypt) const {
   // To sliced form, one 64x64 tile per group: after the transposes,
   // blocks[w * 64 + j] is the standard's input bit j+1 across group w's
   // lanes (lane w*64+i at word bit 63-i). The Word gathers below then
   // stack the kWords groups into one wide lane vector per bit position.
-  for (std::size_t w = 0; w < kWords; ++w) {
+  for (std::size_t w = 0; w < groups; ++w) {
     transpose64(blocks + w * kGroupLanes);
   }
 
@@ -354,12 +383,12 @@ void DesBitslice::crypt(std::uint64_t blocks[kLanes], bool decrypt) const {
 
   // Round R (0-based): l ^= f(r, key) turns l into R_{R+1} while the other
   // bank already holds L_{R+1}; parity decides which bank plays which role.
-  // ks_ rows are [t * kWords + w], i.e. exactly 48 consecutive Words.
+  // planes_ is [p * kWords + w], i.e. 56 consecutive Words.
+  const Word* planes = reinterpret_cast<const Word*>(planes_.data());
   const auto round = [&](int index, Word* l, const Word* r) {
-    const auto& row =
-        ks_[static_cast<std::size_t>(decrypt ? 15 - index : index)];
-    sbox_layer(l, r, reinterpret_cast<const Word*>(row.data()),
-               std::make_index_sequence<8>{});
+    const auto& sel =
+        kRoundPlanes[static_cast<std::size_t>(decrypt ? 15 - index : index)];
+    sbox_layer(l, r, planes, sel.data(), std::make_index_sequence<8>{});
   };
   for (int index = 0; index < 16; index += 2) {
     round(index, bank_l, bank_r);
@@ -375,7 +404,7 @@ void DesBitslice::crypt(std::uint64_t blocks[kLanes], bool decrypt) const {
       blocks[w * kGroupLanes + j] = v[w];
     }
   }
-  for (std::size_t w = 0; w < kWords; ++w) {
+  for (std::size_t w = 0; w < groups; ++w) {
     transpose64(blocks + w * kGroupLanes);
   }
 }

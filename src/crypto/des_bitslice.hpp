@@ -16,12 +16,13 @@
 // schedule) with the scalar core and is differentially tested against the
 // DesReference oracle.
 //
-// Key handling supports mixed keys across lanes: the compact per-key form
-// (DesBitsliceKeySchedule, 16 x 48-bit round keys -- what FlowCryptoContext
-// caches per flow, copied from the same des_tables::KeySchedule its scalar
-// Des is built from) expands into the engine's 16x48 lane-mask vectors either
-// all at once (broadcast or per-lane transpose, cheap) or one lane at a
-// time (the batch scheduler's job-boundary rekey).
+// Key handling stores what every round key is selected from: the 56 PC1
+// key bits C0|D0, one lane-mask plane per bit. A round's 48 key words are a
+// fixed selection of those planes (PC2 after the round's cumulative C/D
+// rotation, a constexpr table), so no per-round expansion is ever stored or
+// computed. Loading mixed keys is one 64x64 transpose per 64-lane group
+// that carries work; rekeying one lane is 56 masked bit updates; a
+// broadcast key is 56 plane stores.
 //
 // CBC interaction: decryption is block-parallel even within one datagram
 // (the chain input is ciphertext, all of it in hand), so a decrypt batch
@@ -41,17 +42,22 @@ namespace des_tables {
 struct KeySchedule;
 }
 
-/// Compact per-key schedule: the 16 48-bit FIPS round keys, bit 47 = the
-/// standard's round-key bit 1. 128 bytes -- cheap enough to cache per flow
-/// next to the scalar Des object.
+/// Compact per-key schedule: the PC1 output C0|D0 (C0 in bits 55..28, D0
+/// in bits 27..0, MSB first) -- 8 bytes, cached per flow next to the scalar
+/// Des object. Every round key is a rotation plus PC2 of these bits.
 struct DesBitsliceKeySchedule {
-  std::array<std::uint64_t, 16> subkeys{};
+  std::uint64_t cd0 = 0;
 
   /// From an 8-byte DES key (parity bits ignored, as in Des).
   static DesBitsliceKeySchedule from_key(util::BytesView key);
   /// From an already computed PC1/PC2 schedule: a copy, no key work.
   static DesBitsliceKeySchedule from_schedule(
       const des_tables::KeySchedule& ks);
+
+  /// Round key K(round+1) as a 48-bit word (bit 47 = the standard's bit 1),
+  /// recomputed from C0|D0. For tests and diagnostics; the engine selects
+  /// key planes directly.
+  std::uint64_t round_key(int round) const;
 
   bool operator==(const DesBitsliceKeySchedule&) const = default;
 };
@@ -64,42 +70,55 @@ class DesBitslice {
   static constexpr std::size_t kWords = 4;
   static constexpr std::size_t kLanes = kWords * kGroupLanes;
 
-  /// All lanes share one key (~16x48 stores; the single-flow fast path).
+  /// Number of key-bit planes: the 56 PC1 bits C0|D0.
+  static constexpr std::size_t kKeyPlanes = 56;
+
+  /// All lanes share one key: 56 x kWords plane stores.
   void set_all_lanes(const DesBitsliceKeySchedule& ks);
 
-  /// Mixed keys, bulk: lane i takes lanes[i] (must all be non-null). Done
-  /// with one 64x64 transpose per round per group -- a fraction of a
-  /// cipher pass, so a fresh mixed-key batch amortizes after the first.
+  /// Mixed keys, bulk: lane i takes lanes[i]. A null entry marks a lane
+  /// without work; a 64-lane group whose entries are all null is skipped
+  /// and keeps whatever key it had. Each group that carries work costs a
+  /// gather and one 64x64 transpose -- a few hundred ns, a small fraction
+  /// of a cipher pass.
   void set_lanes(const std::array<const DesBitsliceKeySchedule*, kLanes>& l);
 
   /// Rekey a single lane in place (the batch scheduler's incremental
-  /// update when a lane's cursor crosses a job boundary).
+  /// update when a lane's cursor crosses a job boundary): 56 branch-free
+  /// bit updates, other lanes untouched.
   void set_lane(std::size_t lane, const DesBitsliceKeySchedule& ks);
 
-  /// Encrypt/decrypt kLanes blocks in place, one per lane; blocks[i] is
-  /// lane i's block as loaded by Des::load_be64. Lanes with no real work
-  /// may carry anything -- every lane is computed regardless.
-  void encrypt(std::uint64_t blocks[kLanes]) const {
-    crypt(blocks, /*decrypt=*/false);
+  /// Plane `p` (0 = C0 bit 1 ... 55 = D0 bit 28) of 64-lane group `w`:
+  /// lane w*64+i's key bit at word bit 63-i. For tests.
+  std::uint64_t key_plane(std::size_t p, std::size_t w) const {
+    return planes_[p * kWords + w];
   }
-  void decrypt(std::uint64_t blocks[kLanes]) const {
-    crypt(blocks, /*decrypt=*/true);
+
+  /// Encrypt/decrypt kLanes blocks in place, one per lane; blocks[i] is
+  /// lane i's block as loaded by Des::load_be64. Only the first `groups`
+  /// 64-lane groups carry work: the others skip their transposes and come
+  /// back unspecified. Lanes with no real work inside a carried group may
+  /// hold anything -- every lane is computed regardless.
+  void encrypt(std::uint64_t blocks[kLanes], std::size_t groups = kWords) const {
+    crypt(blocks, groups, /*decrypt=*/false);
+  }
+  void decrypt(std::uint64_t blocks[kLanes], std::size_t groups = kWords) const {
+    crypt(blocks, groups, /*decrypt=*/true);
   }
 
   /// In-place 64x64 bit-matrix transpose, bit (63-c) of m[r] <-> bit
-  /// (63-r) of m[c]. Exposed for tests and the key-schedule expansion;
-  /// crypt applies it per 64-lane group.
+  /// (63-r) of m[c]. Exposed for tests and benches; crypt applies it per
+  /// 64-lane group and set_lanes per group of keys.
   static void transpose64(std::uint64_t m[kGroupLanes]);
 
  private:
-  void crypt(std::uint64_t blocks[kLanes], bool decrypt) const;
+  void crypt(std::uint64_t blocks[kLanes], std::size_t groups,
+             bool decrypt) const;
 
-  /// ks_[round][t * kWords + w]: lane-mask word for round-key bit t+1
-  /// (FIPS numbering), group w -- lane (w * 64 + i)'s key bit lives at
-  /// word bit 63-i, matching the transposed data layout. Stored as plain
-  /// uint64_t so the header stays free of vector-extension types; the
-  /// implementation reads each kWords run as one wide word.
-  alignas(64) std::array<std::array<std::uint64_t, 48 * kWords>, 16> ks_{};
+  /// planes_[p * kWords + w]: key plane p of group w (see key_plane).
+  /// Stored as plain uint64_t so the header stays free of vector-extension
+  /// types; the implementation reads each kWords run as one wide word.
+  alignas(64) std::array<std::uint64_t, kKeyPlanes * kWords> planes_{};
 };
 
 }  // namespace fbs::crypto

@@ -95,10 +95,13 @@ constexpr std::uint64_t permute(std::uint64_t value,
 }
 
 /// The 16 48-bit round keys K1..K16 of one DES key (bit 47 = the
-/// standard's round-key bit 1). Computed once per key and shared by the
-/// scalar Des core and the bitsliced engine's per-flow schedule.
+/// standard's round-key bit 1), plus the PC1 output they were rotated out
+/// of: C0 in bits 55..28 and D0 in bits 27..0, MSB first. Computed once per
+/// key; the scalar Des core takes the round keys, the bitsliced engine's
+/// per-flow schedule takes C0|D0.
 struct KeySchedule {
   std::uint64_t subkeys[16];
+  std::uint64_t cd0;
 };
 
 namespace detail {
@@ -156,6 +159,7 @@ constexpr KeySchedule key_schedule(std::uint64_t k64) {
   std::uint32_t c = static_cast<std::uint32_t>(pc1 >> 28);
   std::uint32_t d = static_cast<std::uint32_t>(pc1 & 0x0FFFFFFFull);
   KeySchedule ks{};
+  ks.cd0 = pc1;
   for (int round = 0; round < 16; ++round) {
     c = detail::rotl28(c, kShifts[round]);
     d = detail::rotl28(d, kShifts[round]);

@@ -91,23 +91,40 @@ void fused_seal_batch(CryptoBatch& batch, std::span<FusedSealJob> jobs) {
 
 void fused_open_batch(CryptoBatch& batch, std::span<FusedOpenJob> jobs) {
   constexpr std::size_t kMax = CryptoBatch::kLanes;
-  CbcOpenJob wide[kMax];
   FusedOpenJob* live[kMax];
   for (std::size_t off = 0; off < jobs.size(); off += kMax) {
-    const std::size_t n = std::min(kMax, jobs.size() - off);
+    const std::span<FusedOpenJob> chunk =
+        jobs.subspan(off, std::min(kMax, jobs.size() - off));
     std::size_t m = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      FusedOpenJob& j = jobs[off + i];
+    std::size_t total = 0;
+    bool mixed = false;
+    for (FusedOpenJob& j : chunk) {
       j.ok = false;
       if (j.ciphertext.empty() ||
           j.ciphertext.size() % Des::kBlockSize != 0)
         continue;
-      j.body->resize(j.ciphertext.size());
-      wide[m] = CbcOpenJob{j.des, j.schedule, j.iv, j.ciphertext,
-                           j.body->data()};
+      total += j.ciphertext.size() / Des::kBlockSize;
+      mixed |= m != 0 && j.schedule != live[0]->schedule;
       live[m++] = &j;
     }
-    if (m > 0) batch.open_cbc({wide, m});
+    if (!CryptoBatch::open_goes_wide(total, mixed)) {
+      // The routing the engine applies: a burst the wide engine would not
+      // beat takes the single fused decrypt+MAC pass per datagram.
+      for (std::size_t k = 0; k < m; ++k) {
+        FusedOpenJob& j = *live[k];
+        j.ok = fused_open_into(*j.des, j.iv, *j.mac, j.mac_prefix,
+                               j.ciphertext, j.mac_out, *j.body);
+      }
+      continue;
+    }
+    CbcOpenJob wide[kMax];
+    for (std::size_t k = 0; k < m; ++k) {
+      FusedOpenJob& j = *live[k];
+      j.body->resize(j.ciphertext.size());
+      wide[k] = CbcOpenJob{j.des, j.schedule, j.iv, j.ciphertext,
+                           j.body->data()};
+    }
+    batch.open_cbc({wide, m});
     for (std::size_t k = 0; k < m; ++k) {
       FusedOpenJob& j = *live[k];
       if (!detail::pkcs7_unpad_in_place(*j.body)) continue;

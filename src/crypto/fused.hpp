@@ -70,13 +70,13 @@ struct FusedOpenJob {
 
 /// Batch-aware forms of fused_seal_into/fused_open_into: the DES-CBC leg of
 /// every job runs through the 256-lane bitsliced batch engine (cross-job
-/// for open, job-per-lane for seal; `batch` decides scalar fallback for
-/// small bursts), while each MAC stays per-datagram. Outputs are
-/// bit-identical, job by job, to calling the _into forms in sequence -- the
-/// "fused" single pass is traded for lane parallelism, which wins whenever
-/// the burst is wide or the bodies are long. Any number of jobs; chunks of
-/// up to CryptoBatch::kLanes are scheduled together. Allocation-free beyond
-/// the callers' output buffers.
+/// for open, job-per-lane for seal) while each MAC stays per-datagram, when
+/// CryptoBatch's cost model says the wide engine wins. fused_open_batch
+/// routes as the engine's receive path does: a chunk the model keeps off
+/// the wide engine takes fused_open_into per job. Outputs are
+/// bit-identical, job by job, to calling the _into forms in sequence. Any
+/// number of jobs; chunks of up to CryptoBatch::kLanes are scheduled
+/// together. Allocation-free beyond the callers' output buffers.
 void fused_seal_batch(CryptoBatch& batch, std::span<FusedSealJob> jobs);
 void fused_open_batch(CryptoBatch& batch, std::span<FusedOpenJob> jobs);
 

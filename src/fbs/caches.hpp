@@ -158,7 +158,8 @@ class SetAssociativeCache {
   /// nullptr on miss (recorded in stats with its 3C classification). Keys
   /// are plain views: a hit performs no allocation at all.
   Value* lookup(util::BytesView key) {
-    Entry* e = find(key);
+    const std::size_t set = cache_index(hash_, key, nsets_);
+    Entry* e = find_in(set, key);
     if (e) {
       e->lru_tick = ++tick_;
       ++stats_.hits;
@@ -170,6 +171,12 @@ class SetAssociativeCache {
       case MissClassifier::MissKind::kCapacity: ++stats_.capacity_misses; break;
       case MissClassifier::MissKind::kCollision: ++stats_.collision_misses; break;
     }
+    // A miss is normally followed by an insert of the same key (the
+    // flow-key derive path); remember its set so the insert does not hash
+    // the key a second time.
+    miss_key_.assign(key.begin(), key.end());
+    miss_set_ = set;
+    miss_valid_ = true;
     return nullptr;
   }
 
@@ -182,7 +189,9 @@ class SetAssociativeCache {
   /// Insert/overwrite; evicts the LRU way of the set if full. Returns the
   /// stored value, which stays valid until the next insert touching its set.
   Value* insert(util::BytesView key, Value value) {
-    const std::size_t set = cache_index(hash_, key, nsets_);
+    const std::size_t set = miss_valid_ && std::ranges::equal(miss_key_, key)
+                                ? miss_set_
+                                : cache_index(hash_, key, nsets_);
     Entry* slot = nullptr;
     for (std::size_t w = 0; w < ways_; ++w) {
       Entry& e = sets_[set * ways_ + w];
@@ -227,7 +236,10 @@ class SetAssociativeCache {
   };
 
   Entry* find(util::BytesView key) {
-    const std::size_t set = cache_index(hash_, key, nsets_);
+    return find_in(cache_index(hash_, key, nsets_), key);
+  }
+
+  Entry* find_in(std::size_t set, util::BytesView key) {
     for (std::size_t w = 0; w < ways_; ++w) {
       Entry& e = sets_[set * ways_ + w];
       if (e.valid && std::ranges::equal(e.key, key)) return &e;
@@ -243,6 +255,9 @@ class SetAssociativeCache {
   std::uint64_t evictions_ = 0;
   CacheStats stats_;
   MissClassifier classifier_;
+  util::Bytes miss_key_;  // key of the last missed lookup
+  std::size_t miss_set_ = 0;
+  bool miss_valid_ = false;
 };
 
 }  // namespace fbs::core

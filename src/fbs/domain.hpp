@@ -81,9 +81,10 @@ struct FbsConfig {
 
   /// Route eligible DES-CBC decryption through the 256-lane bitsliced batch
   /// engine: worker bursts are decrypted cross-datagram before per-datagram
-  /// MAC verification, and single datagrams above the planner's threshold
-  /// split their own blocks across lanes. false forces the scalar
-  /// table-driven core everywhere (the fig8 "DES+MD5 scalar" curve).
+  /// MAC verification, and single datagrams large enough to beat the
+  /// scalar core (CryptoBatch's cost model) split their own blocks across
+  /// lanes. false forces the scalar table-driven core everywhere (the fig8
+  /// "DES+MD5 scalar" curve).
   bool bitslice_crypto = true;
 
   /// Record per-stage latencies on the datagram path. Off by default: the
@@ -226,6 +227,9 @@ class FlowDomain {
   FreshnessChecker freshness;
   SendStats send_stats;
   ReceiveStats receive_stats;
+  /// CryptoBatch work done for this domain's datagrams, whichever worker's
+  /// WorkContext ran it: each call folds its delta in under `mu`.
+  crypto::CryptoBatch::Stats batch_stats;
   obs::StageTracer tracer;
 };
 

@@ -379,6 +379,13 @@ ReceiveError FbsEndpoint::reject(FlowDomain& dom, ReceiveError e) {
   return e;
 }
 
+void FbsEndpoint::open_batch(FlowDomain& dom, WorkContext& ctx,
+                             std::span<const crypto::CbcOpenJob> jobs) {
+  const crypto::CryptoBatch::Stats before = ctx.batch.stats();
+  ctx.batch.open_cbc(jobs);
+  dom.batch_stats += ctx.batch.stats() - before;
+}
+
 ReceiveIntoOutcome FbsEndpoint::unprotect_item_locked(
     FlowDomain& dom, WorkContext& ctx, const Principal& source,
     const FbsHeaderView& header, util::Bytes& body_out) {
@@ -432,8 +439,8 @@ ReceiveIntoOutcome FbsEndpoint::unprotect_item_locked(
         header.suite.cipher == crypto::CipherAlgorithm::kDesCbc &&
         !header.body.empty() &&
         header.body.size() % crypto::Des::kBlockSize == 0 &&
-        header.body.size() / crypto::Des::kBlockSize >=
-            crypto::CryptoBatch::kScalarThresholdBlocks) {
+        crypto::CryptoBatch::open_goes_wide(
+            header.body.size() / crypto::Des::kBlockSize, false)) {
       // Single-datagram bitslice path: CBC decrypt is block-parallel, so a
       // large body splits its own blocks across the 256 lanes (a 1408-byte
       // body is 176 blocks -- one pass at 69% lane occupancy).
@@ -441,13 +448,13 @@ ReceiveIntoOutcome FbsEndpoint::unprotect_item_locked(
       body_out.resize(header.body.size());
       const crypto::CbcOpenJob job{&*fctx->des, &*fctx->bitslice, iv,
                                    header.body, body_out.data()};
-      ctx.batch.open_cbc({&job, 1});
+      open_batch(dom, ctx, {&job, 1});
       batch_timer.finish();
       if (!crypto::detail::pkcs7_unpad_in_place(body_out))
         return reject(dom, ReceiveError::kDecryptFailed);
       auto mac_timer = dom.tracer.start(obs::Stage::kRecvMac);
       fctx->mac->compute_into({{prefix, kMacPrefixSize}, body_out}, mac_buf);
-    } else if (header.suite.mac == crypto::MacAlgorithm::kKeyedMd5 &&
+    } else if (fctx->des &&
                header.suite.cipher == crypto::CipherAlgorithm::kDesCbc) {
       auto fused_timer = dom.tracer.start(obs::Stage::kRecvFused);
       const bool ok = crypto::fused_open_into(
@@ -658,33 +665,53 @@ void FbsEndpoint::unprotect_burst_chunk(WorkContext& ctx,
     }
 
     // Phase B: one cross-datagram bitsliced decrypt for the whole group,
-    // mixed flow keys included (per-lane key schedules).
-    if (njob > 0) {
+    // mixed flow keys included (per-lane key schedules) -- when the cost
+    // model prices it below the scalar core. Otherwise each datagram takes
+    // the fused decrypt+MAC pass in phase C.
+    std::size_t total_blocks = 0;
+    bool mixed = false;
+    for (std::size_t k = 0; k < njob; ++k) {
+      total_blocks += jobs[k].ciphertext.size() / crypto::Des::kBlockSize;
+      mixed |= jobs[k].schedule != jobs[0].schedule;
+    }
+    const bool wide =
+        njob > 0 && crypto::CryptoBatch::open_goes_wide(total_blocks, mixed);
+    if (wide) {
       auto batch_timer = dom.tracer.start(obs::Stage::kRecvBatchCrypto);
-      ctx.batch.open_cbc({jobs, njob});
+      open_batch(dom, ctx, {jobs, njob});
       batch_timer.finish();
     }
 
-    // Phases C-D, in submission order: padding check, MAC over the
-    // recovered plaintext, constant-time compare, replay commit.
+    // Phases C-D, in submission order: padding check and MAC over the
+    // recovered plaintext (one fused pass when phase B did not decrypt),
+    // constant-time compare, replay commit.
     for (std::size_t k = 0; k < njob; ++k) {
       const std::size_t j = live[k].item;
       ReceiveBurstItem& it = items[j];
       const FbsHeaderView& h = *headers[j];
       FlowCryptoContext* fctx = live[k].fctx;
       util::Bytes& body = *it.body_out;
-      if (!crypto::detail::pkcs7_unpad_in_place(body)) {
-        it.outcome = reject(dom, ReceiveError::kDecryptFailed);
-        continue;
-      }
       std::uint8_t prefix[kMacPrefixSize];
       mac_prefix_into(h.flags_byte(), h.suite_byte(), h.confounder,
                       h.timestamp_minutes, prefix);
       std::uint8_t mac_buf[kMaxMacSize];
       const std::size_t mac_n = fctx->mac->mac_size();
-      {
-        auto mac_timer = dom.tracer.start(obs::Stage::kRecvMac);
-        fctx->mac->compute_into({{prefix, kMacPrefixSize}, body}, mac_buf);
+      bool ok;
+      if (wide) {
+        ok = crypto::detail::pkcs7_unpad_in_place(body);
+        if (ok) {
+          auto mac_timer = dom.tracer.start(obs::Stage::kRecvMac);
+          fctx->mac->compute_into({{prefix, kMacPrefixSize}, body}, mac_buf);
+        }
+      } else {
+        auto fused_timer = dom.tracer.start(obs::Stage::kRecvFused);
+        ok = crypto::fused_open_into(*fctx->des, jobs[k].iv, *fctx->mac,
+                                     {prefix, kMacPrefixSize}, h.body,
+                                     mac_buf, body);
+      }
+      if (!ok) {
+        it.outcome = reject(dom, ReceiveError::kDecryptFailed);
+        continue;
       }
       if (!util::ct_equal({mac_buf, mac_n}, h.mac)) {
         it.outcome = reject(dom, ReceiveError::kBadMac);
@@ -817,6 +844,15 @@ const FamStats& FbsEndpoint::fam_stats() const {
     accumulate(agg_fam_, dom->policy->stats());
   }
   return agg_fam_;
+}
+
+const crypto::CryptoBatch::Stats& FbsEndpoint::batch_stats() const {
+  agg_batch_ = crypto::CryptoBatch::Stats{};
+  for (const auto& dom : domains_) {
+    std::lock_guard<std::mutex> lock(dom->mu);
+    agg_batch_ += dom->batch_stats;
+  }
+  return agg_batch_;
 }
 
 const MegaflowStats* FbsEndpoint::megaflow_stats() const {

@@ -107,7 +107,9 @@ class FbsEndpoint {
   /// DES-CBC body of valid length, with config().bitslice_crypto set) is
   /// decrypted by the 256-lane bitsliced batch engine in ctx.batch -- mixed
   /// flow keys included -- before per-datagram MAC verification and the
-  /// replay commit. Ineligible items (plaintext, 3DES, stream modes, other
+  /// replay commit, when CryptoBatch's cost model says the group's blocks
+  /// run faster wide; otherwise each takes the scalar fused decrypt+MAC
+  /// pass. Ineligible items (plaintext, 3DES, stream modes, other
   /// failures) take the scalar path inside the same critical section.
   /// Outcome and plaintext land in each item. Observable results match
   /// calling unprotect_into per item; only the grouping of lock
@@ -178,6 +180,11 @@ class FbsEndpoint {
   const CacheStats& rfkc_stats() const;
   const FreshnessChecker::Stats& freshness_stats() const;
   const FamStats& fam_stats() const;
+  /// Bitsliced batch counters (wide/scalar blocks, passes, key loads, lane
+  /// rekeys) summed over every WorkContext that decrypted for this
+  /// endpoint -- the pipeline workers' included. Lane occupancy is
+  /// bitsliced_blocks / (passes * CryptoBatch::kLanes).
+  const crypto::CryptoBatch::Stats& batch_stats() const;
   /// Aggregated megaflow control-plane counters; nullptr when the paper's
   /// fixed-table policy is active (max_flows_per_shard == 0). Counters and
   /// footprints sum across shards; map_load_factor reports the worst shard.
@@ -222,6 +229,10 @@ class FbsEndpoint {
 
   /// The in-lock body of unprotect_into, from the post-parse header checks
   /// through accept/reject. Caller holds dom.mu.
+  /// ctx.batch.open_cbc(jobs), its stats delta folded into dom.batch_stats
+  /// (caller holds dom.mu).
+  void open_batch(FlowDomain& dom, WorkContext& ctx,
+                  std::span<const crypto::CbcOpenJob> jobs);
   ReceiveIntoOutcome unprotect_item_locked(FlowDomain& dom, WorkContext& ctx,
                                            const Principal& source,
                                            const FbsHeaderView& header,
@@ -262,6 +273,7 @@ class FbsEndpoint {
   mutable FreshnessChecker::Stats agg_freshness_;
   mutable FamStats agg_fam_;
   mutable MegaflowStats agg_mega_;
+  mutable crypto::CryptoBatch::Stats agg_batch_;
 };
 
 }  // namespace fbs::core

@@ -62,9 +62,9 @@ struct FlowCryptoContext {
   FlowKey key{};                    // K_f itself (kept for re-suiting)
   crypto::AlgorithmSuite suite{};   // what des/mac below were built for
   std::optional<crypto::Des> des;   // engaged for the single-DES suites
-  /// The same PC1/PC2 schedule `des` was built from, in the form the
-  /// 256-lane bitsliced engine loads, so the batch scheduler can key lanes
-  /// by pointer. Engaged exactly when `des` is (the bitslice core is
+  /// The same PC1 output `des` was built from (C0|D0, 8 bytes), in the
+  /// form the 256-lane bitsliced engine loads, so the batch scheduler can
+  /// key lanes by pointer. Engaged exactly when `des` is (the bitslice core is
   /// single-algorithm).
   std::optional<crypto::DesBitsliceKeySchedule> bitslice;
   /// Engaged instead of `des` for the kDes3Ede suite: K_f is stretched to

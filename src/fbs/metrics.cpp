@@ -127,6 +127,19 @@ void FbsEndpoint::register_metrics(obs::MetricsRegistry& registry,
     emit_fresh(emit, prefix + ".freshness", freshness_stats());
     emit_fam(emit, prefix + ".fam", fam_stats());
     emit.gauge(prefix + ".shards", static_cast<double>(shard_count()));
+    const crypto::CryptoBatch::Stats batch = batch_stats();
+    const std::string bp = prefix + ".crypto_batch";
+    emit.counter(bp + ".bitsliced_blocks", batch.bitsliced_blocks);
+    emit.counter(bp + ".scalar_blocks", batch.scalar_blocks);
+    emit.counter(bp + ".passes", batch.passes);
+    emit.counter(bp + ".key_loads", batch.key_loads);
+    emit.counter(bp + ".lane_rekeys", batch.lane_rekeys);
+    emit.gauge(bp + ".lane_occupancy",
+               batch.passes == 0
+                   ? 0.0
+                   : static_cast<double>(batch.bitsliced_blocks) /
+                         static_cast<double>(batch.passes *
+                                             crypto::CryptoBatch::kLanes));
     if (const MegaflowStats* m = megaflow_stats()) {
       const std::string mp = prefix + ".megaflow";
       emit.counter(mp + ".budget_evictions", m->budget_evictions);

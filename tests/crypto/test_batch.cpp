@@ -168,6 +168,76 @@ TEST(CryptoBatch, MixedKeyBurstRekeysLanesAtJobBoundaries) {
   }
   // 8 jobs spread over kLanes lanes: at most 7 boundary crossings can rekey.
   EXPECT_LE(batch.stats().lane_rekeys, 7u);
+  // 208 blocks over four keys: the cost model routes them wide.
+  EXPECT_GT(batch.stats().bitsliced_blocks, 0u);
+}
+
+TEST(CryptoBatch, ScalarRoutedBurstLoadsNoLaneKeys) {
+  // Every burst total from 1 to 300 blocks, one key and one key per job:
+  // a burst planned with no wide pass must not load lane keys (a mixed-key
+  // load is the costliest step of a small wide burst), and one with wide
+  // passes loads them exactly once.
+  util::SplitMix64 rng(10);
+  std::vector<Flow> flows;
+  for (int i = 0; i < 4; ++i) flows.emplace_back(rng.next_bytes(8));
+  for (const bool mixed : {false, true}) {
+    for (std::size_t total = 1; total <= 300; ++total) {
+      // Split the total over up to four jobs (uneven on purpose).
+      std::vector<std::size_t> blocks;
+      for (std::size_t left = total, k = 0; left > 0; ++k) {
+        const std::size_t n = k == 3 ? left : std::min(left, total / 3 + 1);
+        blocks.push_back(n);
+        left -= n;
+      }
+      std::vector<util::Bytes> cts;
+      std::vector<util::Bytes> outs;
+      std::vector<CbcOpenJob> jobs;
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        cts.push_back(rng.next_bytes(blocks[i] * 8));
+        outs.emplace_back(cts.back().size());
+      }
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        const Flow& f = flows[mixed ? i : 0];
+        jobs.push_back(
+            CbcOpenJob{&f.des, &f.schedule, i, cts[i], outs[i].data()});
+      }
+      const bool mixed_keys = mixed && blocks.size() > 1;
+      const CryptoBatch::OpenPlan plan =
+          CryptoBatch::plan_open(total, mixed_keys);
+      CryptoBatch batch;
+      batch.open_cbc(jobs);
+      const CryptoBatch::Stats& st = batch.stats();
+      ASSERT_EQ(st.passes, plan.passes) << total;
+      ASSERT_EQ(st.bitsliced_blocks, plan.wide_blocks) << total;
+      ASSERT_EQ(st.bitsliced_blocks + st.scalar_blocks, total) << total;
+      ASSERT_EQ(st.key_loads, st.passes == 0 ? 0u : 1u)
+          << "total " << total << (mixed_keys ? " mixed" : " single");
+    }
+  }
+}
+
+TEST(CryptoBatch, RoutedOpenAndSealMatchScalarCbc) {
+  // Differential check of both routed entry points against the scalar Des
+  // CBC path: every job count 1..64, bodies of 0..200 blocks (so bursts
+  // run from a few blocks to thousands, crossing lane boundaries and
+  // putting job boundaries inside lane runs), one key or one per job.
+  util::SplitMix64 rng(11);
+  for (std::size_t jobs = 1; jobs <= 64; ++jobs) {
+    std::vector<std::size_t> sizes(jobs);
+    for (std::size_t& n : sizes) {
+      const std::size_t blocks = rng.next_u64() % 201;
+      n = blocks == 0 ? 0 : blocks * 8 - rng.next_u64() % 8;
+    }
+    check_burst(1000 + jobs, sizes, 1);
+    check_burst(2000 + jobs, sizes, jobs);
+  }
+  // Totals on both sides of the lane count and its multiples, where the
+  // last partial pass is spilled to the scalar core or run wide.
+  for (const std::size_t total : {255u, 256u, 257u, 300u, 511u, 512u, 513u}) {
+    const std::size_t half = total / 2;
+    check_burst(3000 + total, {half * 8 - 1, (total - half) * 8 - 1}, 2);
+    check_burst(4000 + total, {total * 8 - 1}, 1);
+  }
 }
 
 TEST(CryptoBatch, EmptyAndZeroBlockJobsAreSafe) {

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "crypto/des.hpp"
 #include "support/des_reference.hpp"
@@ -39,7 +40,7 @@ TEST(DesBitslice, KeyScheduleMatchesReference) {
     const DesReference ref(key);
     const auto ks = DesBitsliceKeySchedule::from_key(key);
     for (int round = 0; round < 16; ++round) {
-      EXPECT_EQ(ks.subkeys[static_cast<std::size_t>(round)],
+      EXPECT_EQ(ks.round_key(round),
                 ref.subkeys()[static_cast<std::size_t>(round)]);
     }
   }
@@ -114,6 +115,100 @@ TEST(DesBitslice, SetLaneRekeysOneLaneOnly) {
   for (std::size_t i = 0; i < kLanes; ++i) {
     const DesReference& ref = (i == 7 || i == 63) ? other_ref : base_ref;
     ASSERT_EQ(blocks[i], ref.encrypt_block(pt[i])) << "lane " << i;
+  }
+}
+
+/// All key planes of `bs`, plane-major then group.
+std::vector<std::uint64_t> planes_of(const DesBitslice& bs) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t p = 0; p < DesBitslice::kKeyPlanes; ++p)
+    for (std::size_t w = 0; w < DesBitslice::kWords; ++w)
+      out.push_back(bs.key_plane(p, w));
+  return out;
+}
+
+TEST(DesBitslice, SetLaneLeavesOtherLanesUntouched) {
+  // Start from 256 distinct keys, rekey one lane at a time: every plane bit
+  // of the other 255 lanes must keep its value, and the rekeyed lane must
+  // read back its new C0|D0.
+  util::SplitMix64 rng(108);
+  std::array<DesBitsliceKeySchedule, kLanes> schedules;
+  std::array<const DesBitsliceKeySchedule*, kLanes> ptrs;
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    schedules[i] = DesBitsliceKeySchedule::from_key(rng.next_bytes(8));
+    ptrs[i] = &schedules[i];
+  }
+  DesBitslice bs;
+  bs.set_lanes(ptrs);
+  for (const std::size_t lane : {0u, 1u, 63u, 64u, 130u, 255u}) {
+    const std::vector<std::uint64_t> before = planes_of(bs);
+    const auto other = DesBitsliceKeySchedule::from_key(rng.next_bytes(8));
+    bs.set_lane(lane, other);
+    const std::vector<std::uint64_t> after = planes_of(bs);
+    const std::size_t w = lane / kGroup;
+    const std::uint64_t bit = 1ull << (63 - lane % kGroup);
+    for (std::size_t p = 0; p < DesBitslice::kKeyPlanes; ++p) {
+      for (std::size_t g = 0; g < DesBitslice::kWords; ++g) {
+        const std::size_t i = p * DesBitslice::kWords + g;
+        const std::uint64_t others = g == w ? ~bit : ~0ull;
+        ASSERT_EQ(after[i] & others, before[i] & others)
+            << "lane " << lane << " plane " << p << " group " << g;
+      }
+      ASSERT_EQ((bs.key_plane(p, w) & bit) != 0,
+                ((other.cd0 >> (55 - p)) & 1) != 0)
+          << "lane " << lane << " plane " << p;
+    }
+  }
+}
+
+TEST(DesBitslice, SetLanesMatchesPerLaneSetLane) {
+  // The bulk transpose load and 256 single-lane updates produce identical
+  // planes; a group whose lanes are all null keeps its previous planes.
+  util::SplitMix64 rng(109);
+  std::array<DesBitsliceKeySchedule, kLanes> schedules;
+  std::array<const DesBitsliceKeySchedule*, kLanes> ptrs;
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    schedules[i] = DesBitsliceKeySchedule::from_key(rng.next_bytes(8));
+    ptrs[i] = &schedules[i];
+  }
+  DesBitslice bulk;
+  DesBitslice one_by_one;
+  bulk.set_lanes(ptrs);
+  for (std::size_t i = 0; i < kLanes; ++i) one_by_one.set_lane(i, schedules[i]);
+  EXPECT_EQ(planes_of(bulk), planes_of(one_by_one));
+
+  // Null out group 2: its planes stay, the other groups reload.
+  const std::vector<std::uint64_t> before = planes_of(bulk);
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    schedules[i] = DesBitsliceKeySchedule::from_key(rng.next_bytes(8));
+    if (i / kGroup == 2) ptrs[i] = nullptr;
+  }
+  bulk.set_lanes(ptrs);
+  for (std::size_t i = 0; i < kLanes; ++i)
+    if (i / kGroup != 2) one_by_one.set_lane(i, schedules[i]);
+  EXPECT_EQ(planes_of(bulk), planes_of(one_by_one));
+  for (std::size_t p = 0; p < DesBitslice::kKeyPlanes; ++p)
+    EXPECT_EQ(bulk.key_plane(p, 2), before[p * DesBitslice::kWords + 2]);
+}
+
+TEST(DesBitslice, PartialGroupPassMatchesFullPass) {
+  // A pass told that only its first g groups carry work computes those
+  // lanes exactly as a full pass does.
+  util::SplitMix64 rng(110);
+  const util::Bytes key = rng.next_bytes(8);
+  const DesReference ref(key);
+  DesBitslice bs;
+  bs.set_all_lanes(DesBitsliceKeySchedule::from_key(key));
+  for (std::size_t g = 1; g <= DesBitslice::kWords; ++g) {
+    std::uint64_t blocks[kLanes] = {};
+    std::uint64_t pt[kLanes] = {};
+    for (std::size_t i = 0; i < g * kGroup; ++i) blocks[i] = pt[i] = rng.next_u64();
+    bs.encrypt(blocks, g);
+    for (std::size_t i = 0; i < g * kGroup; ++i)
+      ASSERT_EQ(blocks[i], ref.encrypt_block(pt[i])) << "g " << g << " lane " << i;
+    bs.decrypt(blocks, g);
+    for (std::size_t i = 0; i < g * kGroup; ++i)
+      ASSERT_EQ(blocks[i], pt[i]) << "g " << g << " lane " << i;
   }
 }
 

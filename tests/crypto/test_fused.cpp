@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <vector>
@@ -285,6 +286,53 @@ TEST(FusedBatch, OpenBatchBitIdenticalToSequentialOpenInto) {
               util::Bytes(ref_tag, ref_tag + 16))
         << i;
   }
+}
+
+TEST(FusedBatch, SmallOpenBatchTakesTheFusedPassPerJob) {
+  // A chunk the cost model prices below the wide engine's break-even never
+  // touches the batch engine: each job runs the single fused pass, with
+  // the same verdicts, bodies and tags, a malformed job included.
+  util::SplitMix64 rng(999);
+  KeyedPrefixMac mac_alg(std::make_unique<Md5>());
+  constexpr std::size_t kJobs = 4;
+  std::vector<Des> des;
+  std::vector<DesBitsliceKeySchedule> sched;
+  std::vector<MacContext> macs;
+  std::vector<util::Bytes> cts;
+  const util::Bytes prefix = rng.next_bytes(8);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    const util::Bytes key = rng.next_bytes(8);
+    des.emplace_back(key);
+    sched.push_back(DesBitsliceKeySchedule::from_key(key));
+    macs.push_back(mac_alg.make_context(rng.next_bytes(16)));
+    std::uint8_t tag[16];
+    util::Bytes ct;
+    fused_seal_into(des[i], i, macs[i], prefix, rng.next_bytes(3 + 5 * i),
+                    tag, ct);
+    cts.push_back(i == 2 ? rng.next_bytes(13) : std::move(ct));
+  }
+  std::vector<util::Bytes> bodies(kJobs);
+  std::vector<std::array<std::uint8_t, 16>> tags(kJobs);
+  std::vector<FusedOpenJob> jobs;
+  for (std::size_t i = 0; i < kJobs; ++i)
+    jobs.push_back(FusedOpenJob{&des[i], &sched[i], i, &macs[i], prefix,
+                                cts[i], tags[i].data(), &bodies[i]});
+  CryptoBatch batch;
+  fused_open_batch(batch, jobs);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    std::uint8_t ref_tag[16];
+    util::Bytes ref_body;
+    const bool ref_ok = fused_open_into(des[i], i, macs[i], prefix, cts[i],
+                                        ref_tag, ref_body);
+    ASSERT_EQ(jobs[i].ok, ref_ok) << i;
+    EXPECT_EQ(ref_ok, i != 2) << i;
+    if (!ref_ok) continue;
+    EXPECT_EQ(bodies[i], ref_body) << i;
+    EXPECT_TRUE(std::equal(ref_tag, ref_tag + 16, tags[i].begin())) << i;
+  }
+  EXPECT_EQ(batch.stats().passes, 0u);
+  EXPECT_EQ(batch.stats().key_loads, 0u);
+  EXPECT_EQ(batch.stats().bitsliced_blocks + batch.stats().scalar_blocks, 0u);
 }
 
 }  // namespace

@@ -229,6 +229,29 @@ TEST(Cache, MissReturnsNullAndCounts) {
   EXPECT_EQ(cache.stats().miss_rate(), 1.0);
 }
 
+TEST(Cache, InsertAfterMissPlacesKeyInItsOwnSet) {
+  // insert reuses the set index of the lookup that just missed -- but only
+  // for that same key. Inserting some other key after a miss must still
+  // land where a later lookup finds it, in every hash and associativity.
+  for (const CacheHashKind hash :
+       {CacheHashKind::kCrc32, CacheHashKind::kModulo,
+        CacheHashKind::kXorFold}) {
+    for (const std::size_t ways : {1u, 2u}) {
+      SetAssociativeCache<int> cache(64, ways, hash);
+      for (std::uint64_t i = 0; i < 200; ++i) {
+        ASSERT_EQ(cache.lookup(key_of(i)), nullptr);
+        cache.insert(key_of(i + 1000), static_cast<int>(i));
+        const int* v = cache.peek(key_of(i + 1000));
+        ASSERT_NE(v, nullptr) << i;
+        EXPECT_EQ(*v, static_cast<int>(i));
+        // The missed key itself, inserted next, reuses the remembered set.
+        cache.insert(key_of(i), -static_cast<int>(i));
+        ASSERT_NE(cache.peek(key_of(i)), nullptr) << i;
+      }
+    }
+  }
+}
+
 TEST(Cache, OverwriteSameKey) {
   SetAssociativeCache<int> cache(8);
   cache.insert(key_of(1), 1);

@@ -94,6 +94,61 @@ TEST(RegistryIntegration, OneSnapshotCoversEveryLayer) {
   EXPECT_NE(json.find("b.stage.recv.mac"), std::string::npos);
 }
 
+TEST(RegistryIntegration, CryptoBatchCountersSumOverWorkContexts) {
+  // Two workers' WorkContexts decrypt bursts for one endpoint; the
+  // endpoint's crypto_batch counters are the sum of both contexts' own
+  // CryptoBatch stats, and a small datagram routed to the scalar fused
+  // pass adds nothing.
+  TestWorld world(9999);
+  auto& a = world.add_node("a", "10.0.0.1");
+  auto& b = world.add_node("b", "10.0.0.2");
+  FbsConfig cfg;
+  FbsEndpoint alice(a.principal, cfg, *a.keys, world.clock, world.rng);
+  FbsEndpoint bob(b.principal, cfg, *b.keys, world.clock, world.rng);
+  obs::MetricsRegistry reg;
+  bob.register_metrics(reg, "b");
+
+  WorkContext workers[2];
+  for (int round = 0; round < 4; ++round) {
+    std::vector<util::Bytes> wires;
+    for (int i = 0; i < 3; ++i) {
+      auto wire = alice.protect(
+          make_datagram(a.principal, b.principal, std::string(1400, 'x')),
+          true);
+      ASSERT_TRUE(wire.has_value());
+      wires.push_back(std::move(*wire));
+    }
+    std::vector<util::Bytes> bodies(wires.size());
+    std::vector<ReceiveBurstItem> items(wires.size());
+    for (std::size_t i = 0; i < wires.size(); ++i)
+      items[i] = ReceiveBurstItem{&a.principal, wires[i], &bodies[i]};
+    bob.unprotect_burst_into(workers[round % 2], items);
+    for (const ReceiveBurstItem& it : items)
+      ASSERT_TRUE(std::holds_alternative<ReceivedInfo>(it.outcome));
+  }
+  auto small =
+      alice.protect(make_datagram(a.principal, b.principal, "ping"), true);
+  ASSERT_TRUE(small.has_value());
+  ASSERT_TRUE(std::holds_alternative<ReceivedDatagram>(
+      bob.unprotect(a.principal, *small)));
+
+  crypto::CryptoBatch::Stats sum = workers[0].batch.stats();
+  sum += workers[1].batch.stats();
+  ASSERT_GT(workers[0].batch.stats().passes, 0u);
+  ASSERT_GT(workers[1].batch.stats().passes, 0u);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("b.crypto_batch.bitsliced_blocks"),
+            sum.bitsliced_blocks);
+  EXPECT_EQ(snap.counters.at("b.crypto_batch.scalar_blocks"),
+            sum.scalar_blocks);
+  EXPECT_EQ(snap.counters.at("b.crypto_batch.passes"), sum.passes);
+  EXPECT_EQ(snap.counters.at("b.crypto_batch.key_loads"), sum.key_loads);
+  EXPECT_EQ(snap.counters.at("b.crypto_batch.lane_rekeys"), sum.lane_rekeys);
+  const double occupancy = snap.gauges.at("b.crypto_batch.lane_occupancy");
+  EXPECT_GT(occupancy, 0.0);
+  EXPECT_LE(occupancy, 1.0);
+}
+
 TEST(RegistryIntegration, TracingOffByDefaultKeepsStagesSilent) {
   TestWorld world(8888);
   auto& a = world.add_node("a", "10.0.0.1");

@@ -4,6 +4,7 @@
 Usage:
     tools/bench_compare.py BASELINE.json CURRENT.json [--threshold 0.10]
                            [--no-fail] [--all] [--require GAUGE=MIN ...]
+                           [--require-max GAUGE=MAX ...]
 
 Each file is either one bench's MetricsSnapshot (the JSON a single bench
 writes via FBS_METRICS_OUT) or a combined {bench_name: snapshot} map like
@@ -21,7 +22,9 @@ makes the exit status 1 unless --no-fail is given.
 (matched against the flattened "bench:gauge" name), independent of the
 baseline and of --no-fail: a missing gauge or a value below MIN always
 fails. This is how acceptance gates (e.g. the parallel wall-speedup gate)
-are enforced in CI rather than merely diffed.
+are enforced in CI rather than merely diffed. --require-max GAUGE=MAX is
+the same check as a ceiling, for cost-like gauges such as the routed-open
+time ratio.
 """
 
 import argparse
@@ -79,17 +82,26 @@ def main():
                         metavar="GAUGE=MIN",
                         help="assert current GAUGE >= MIN (repeatable); "
                              "failure exits 1 even with --no-fail")
+    parser.add_argument("--require-max", action="append", default=[],
+                        metavar="GAUGE=MAX",
+                        help="assert current GAUGE <= MAX (repeatable); "
+                             "failure exits 1 even with --no-fail")
     args = parser.parse_args()
 
-    requirements = []
-    for spec in args.require:
-        name, sep, floor = spec.rpartition("=")
-        if not sep:
-            parser.error(f"--require needs GAUGE=MIN, got {spec!r}")
-        try:
-            requirements.append((name, float(floor)))
-        except ValueError:
-            parser.error(f"--require floor must be a number, got {floor!r}")
+    def parse_bounds(specs, flag):
+        bounds = []
+        for spec in specs:
+            name, sep, bound = spec.rpartition("=")
+            if not sep:
+                parser.error(f"{flag} needs GAUGE=VALUE, got {spec!r}")
+            try:
+                bounds.append((name, float(bound)))
+            except ValueError:
+                parser.error(f"{flag} bound must be a number, got {bound!r}")
+        return bounds
+
+    requirements = parse_bounds(args.require, "--require")
+    ceilings = parse_bounds(args.require_max, "--require-max")
 
     with open(args.baseline) as f:
         base = flatten_gauges(json.load(f))
@@ -146,6 +158,16 @@ def main():
             gate_failed = True
         else:
             print(f"requirement ok: {name} = {value:.3f} >= {floor:.3f}")
+    for name, ceiling in ceilings:
+        value = cur.get(name)
+        if value is None:
+            print(f"REQUIREMENT FAILED: {name} missing from current snapshot")
+            gate_failed = True
+        elif value > ceiling:
+            print(f"REQUIREMENT FAILED: {name} = {value:.3f} > {ceiling:.3f}")
+            gate_failed = True
+        else:
+            print(f"requirement ok: {name} = {value:.3f} <= {ceiling:.3f}")
 
     if regressions:
         print("regressions:")

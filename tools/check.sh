@@ -40,7 +40,9 @@
 #                                 # their reference oracles, fused seal/open,
 #                                 # bitslice batches), then a Release
 #                                 # bench_crypto pass with the bitsliced-DES
-#                                 # speedup gate (>= 3x the scalar core)
+#                                 # speedup gate (>= 3x the scalar core) and
+#                                 # the routed-open gate (no swept burst
+#                                 # opens > 1.15x the scalar fused pass)
 #   FBS_CHECK_JOBS=8 tools/check.sh   # override parallelism (default: nproc)
 #
 # Exit status is non-zero as soon as any step fails.
@@ -113,7 +115,10 @@ if [ "${1:-}" = "--crypto-smoke" ]; then
   # straight-line code, so run their bit-exactness suites under ASan+UBSan,
   # then measure in a Release tree. The bitslice gate divides the wide
   # engine's throughput by the scalar core's, so a faster scalar core must
-  # still leave the wide engine >= 3x ahead. The relative diff against
+  # still leave the wide engine >= 3x ahead. The routed-open gate caps the
+  # worst ratio of the engine's routed open (CryptoBatch cost model) to the
+  # scalar fused pass over jobs 1..64 x {3, 24, 176} blocks x {single,
+  # mixed} keys at 1.15. The relative diff against
   # BENCH_seed.json is informational here; --bench-smoke gates it.
   echo "== configure (build-sanitize) =="
   cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFBS_SANITIZE=ON
@@ -138,9 +143,10 @@ with open(os.path.join(out_dir, "fbs_bench_crypto.json")) as f:
 with open(os.path.join(out_dir, "current.json"), "w") as f:
     json.dump({"fbs_bench_crypto": snap}, f, indent=1)
 EOF
-  echo "== compare against BENCH_seed.json (gate: bitslice speedup) =="
+  echo "== compare against BENCH_seed.json (gates: bitslice speedup, routed open) =="
   python3 tools/bench_compare.py BENCH_seed.json "$OUT_DIR/current.json" \
-    --no-fail --require "fbs_bench_crypto:crypto.des_bitslice_speedup=3.0"
+    --no-fail --require "fbs_bench_crypto:crypto.des_bitslice_speedup=3.0" \
+    --require-max "fbs_bench_crypto:crypto.routed_open.worst_ratio=1.15"
   echo "Crypto smoke passed."
   exit 0
 fi
