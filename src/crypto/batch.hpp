@@ -20,9 +20,10 @@
 // lights, plus loading the lane keys (broadcast or mixed) -- against the
 // same blocks on the scalar core, and the cheaper side runs. It also
 // decides whether an open's last partial pass runs wide or its blocks
-// spill to the scalar core. The engine asks the same predicate
-// (open_goes_wide) before it commits a datagram or a burst to this path,
-// so a routed-scalar datagram takes the fused decrypt+MAC pass instead.
+// spill to the scalar core. fused_open_batch (fused.hpp), the engine's
+// receive open, asks the same predicate (open_goes_wide) before it commits
+// a burst to this path, so a routed-scalar burst takes the fused
+// decrypt+MAC pass per datagram instead.
 //
 // The planner itself never allocates; all cursors live on the stack and
 // outputs land in caller-provided buffers (the zero-alloc steady-state

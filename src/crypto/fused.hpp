@@ -71,9 +71,10 @@ struct FusedOpenJob {
 /// Batch-aware forms of fused_seal_into/fused_open_into: the DES-CBC leg of
 /// every job runs through the 256-lane bitsliced batch engine (cross-job
 /// for open, job-per-lane for seal) while each MAC stays per-datagram, when
-/// CryptoBatch's cost model says the wide engine wins. fused_open_batch
-/// routes as the engine's receive path does: a chunk the model keeps off
-/// the wide engine takes fused_open_into per job. Outputs are
+/// CryptoBatch's cost model says the wide engine wins. fused_open_batch is
+/// the engine's receive open and the only place that routing decision is
+/// made for it: a chunk the model keeps off the wide engine takes
+/// fused_open_into per job. Outputs are
 /// bit-identical, job by job, to calling the _into forms in sequence. Any
 /// number of jobs; chunks of up to CryptoBatch::kLanes are scheduled
 /// together. Allocation-free beyond the callers' output buffers.

@@ -19,6 +19,11 @@ std::unique_ptr<FlowPolicy> make_policy(const FbsConfig& config,
 
 }  // namespace
 
+WorkContext::WorkContext()
+    : recv(kBurstChunk), opens(kBurstChunk) {
+  rederived.reserve(kBurstChunk);
+}
+
 FlowDomain::FlowDomain(const FbsConfig& config, const util::Clock& clock,
                        SflAllocator& sfl_alloc,
                        std::uint64_t confounder_seed)

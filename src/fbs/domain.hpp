@@ -13,11 +13,12 @@
 // wear-out counters, FST gap detection) exactly as strong as in the
 // single-threaded engine.
 //
-// Locking contract: FlowDomain::mu is held for the ENTIRE protect or
-// unprotect of a datagram touching that domain. One lock for the whole
-// operation is what makes the replay check+commit pair a single atomic
-// step per shard (see replay.hpp) and keeps the per-flow MacContext safe
-// to mutate. The lock is uncontended unless two threads genuinely race on
+// Locking contract: FlowDomain::mu is held for the ENTIRE protect of a
+// datagram, and the entire unprotect of a receive burst's datagrams that
+// belong to that domain (a single datagram is a burst of one). One lock
+// for the whole operation is what makes the replay check+commit pair a
+// single atomic step per shard (see replay.hpp) and keeps the per-flow
+// MacContext safe to mutate. The lock is uncontended unless two threads genuinely race on
 // the same flow's shard; its cost is nanoseconds against the tens of
 // microseconds of per-datagram cryptography.
 //
@@ -29,14 +30,17 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <variant>
 #include <vector>
 
 #include "crypto/algorithms.hpp"
 #include "crypto/batch.hpp"
+#include "crypto/fused.hpp"
 #include "crypto/md5.hpp"
 #include "fbs/caches.hpp"
 #include "fbs/fam.hpp"
+#include "fbs/header.hpp"
 #include "fbs/keying.hpp"
 #include "fbs/principal.hpp"
 #include "fbs/replay.hpp"
@@ -79,12 +83,12 @@ struct FbsConfig {
   std::uint64_t rekey_after_bytes = 0;
   util::TimeUs rekey_after_age = 0;
 
-  /// Route eligible DES-CBC decryption through the 256-lane bitsliced batch
-  /// engine: worker bursts are decrypted cross-datagram before per-datagram
-  /// MAC verification, and single datagrams large enough to beat the
-  /// scalar core (CryptoBatch's cost model) split their own blocks across
-  /// lanes. false forces the scalar table-driven core everywhere (the fig8
-  /// "DES+MD5 scalar" curve).
+  /// Open DES-CBC bodies with crypto::fused_open_batch: a burst's blocks
+  /// -- across datagrams, or a single large datagram's own -- run on the
+  /// 256-lane bitsliced engine when CryptoBatch's cost model says that beats
+  /// the scalar core, before per-datagram MAC verification. false forces
+  /// the scalar fused decrypt+MAC pass everywhere (the fig8 "DES+MD5
+  /// scalar" curve).
   bool bitslice_crypto = true;
 
   /// Record per-stage latencies on the datagram path. Off by default: the
@@ -172,6 +176,31 @@ struct ReceiveStats {
   }
 };
 
+/// The receive datapath's state for one datagram of the burst in flight
+/// (FbsEndpoint::unprotect_burst_into). Only the slots a burst uses are
+/// written; nothing is reset between bursts.
+struct ReceiveSlot {
+  /// flags | suite | confounder | timestamp: the MAC's non-payload input.
+  static constexpr std::size_t kMacPrefixSize = 10;
+  /// Room for any MAC tag we produce (MD5 = 16, SHA-1 = 20).
+  static constexpr std::size_t kMaxMacSize = 64;
+  static constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
+
+  std::optional<FbsHeaderView> header;
+  double parse_ns = 0;  // measured outside the lock, recorded inside it
+  std::size_t shard = 0;
+  bool grouped = false;
+  /// The flow's crypto context; null once the datagram is rejected.
+  FlowCryptoContext* fctx = nullptr;
+  /// rfkc.evictions() right after this datagram's key resolution: if it
+  /// moved later in the burst, the context may have been evicted.
+  std::uint64_t evictions = 0;
+  std::size_t job = kNoJob;  // its fused_open_batch job, if it has one
+  bool opened = false;       // plaintext recovered and MAC computed
+  std::uint8_t prefix[kMacPrefixSize]{};
+  std::uint8_t mac[kMaxMacSize]{};
+};
+
 /// Per-worker scratch making protect_into/unprotect_into re-entrant: every
 /// buffer the single-threaded engine kept as an endpoint member now travels
 /// with the calling thread. One WorkContext per concurrent caller; reusing
@@ -179,7 +208,11 @@ struct ReceiveStats {
 /// holds no flow state -- it is pure scratch and may be discarded freely.
 class WorkContext {
  public:
-  WorkContext() = default;
+  /// Datagrams processed together by one pass of the receive datapath;
+  /// longer bursts are cut into chunks of this many.
+  static constexpr std::size_t kBurstChunk = 64;
+
+  WorkContext();
   WorkContext(const WorkContext&) = delete;
   WorkContext& operator=(const WorkContext&) = delete;
 
@@ -192,6 +225,14 @@ class WorkContext {
   /// not per domain: the lane registers are scratch, and keeping them with
   /// the calling thread lets every worker run wide passes concurrently.
   crypto::CryptoBatch batch;
+
+  /// Receive-burst scratch, sized once at construction: kBurstChunk slots
+  /// and fused_open_batch jobs, and room for as many contexts re-derived
+  /// mid-burst (only ever built when a later datagram's key insert evicted
+  /// an earlier one's, or re-suited it).
+  std::vector<ReceiveSlot> recv;
+  std::vector<crypto::FusedOpenJob> opens;
+  std::vector<FlowCryptoContext> rederived;
 };
 
 /// One row of the merged FST+TFKC (Section 7.2).

@@ -9,12 +9,16 @@
 //
 // Concurrency (DESIGN.md section 5f): per-flow state is striped across
 // config.shards independent FlowDomains. The WorkContext overloads of
-// protect_into/unprotect_into are re-entrant -- any number of threads may
-// call them concurrently, each with its own WorkContext; the engine takes
-// exactly one domain lock for the duration of each datagram. The legacy
-// overloads without a WorkContext use an internal context and therefore
-// keep the original single-threaded contract. Key management (KeyManager /
-// MKD) is deliberately serial behind its own lock: keying is the cold path.
+// protect_into/unprotect_into and unprotect_burst_into are re-entrant --
+// any number of threads may call them concurrently, each with its own
+// WorkContext; the engine holds one domain lock per datagram on send and
+// per same-shard group of a burst on receive. The overloads without a
+// WorkContext use an internal context and are for single-threaded callers.
+// Key management (KeyManager / MKD) is deliberately serial behind its own
+// lock: keying is the cold path.
+//
+// Receive has one datapath, unprotect_burst_into; unprotect and both
+// unprotect_into overloads hand it a burst of one.
 //
 // One deliberate deviation from Figure 4's pseudo-code: the paper computes
 // the MAC over the plaintext body on send (S6, before encrypting at S8-9)
@@ -77,9 +81,10 @@ class FbsEndpoint {
   /// Uses the endpoint's internal WorkContext: NOT re-entrant.
   bool protect_into(const Datagram& d, bool secret, util::Bytes& wire_out);
 
-  /// Allocation-free FBSReceive: the plaintext body lands in `body_out`
-  /// (capacity reused). On rejection body_out's contents are unspecified.
-  /// Uses the endpoint's internal WorkContext: NOT re-entrant.
+  /// Allocation-free FBSReceive of one datagram (a burst of one): the
+  /// plaintext body lands in `body_out` (capacity reused). On rejection
+  /// body_out's contents are unspecified. Uses the endpoint's internal
+  /// WorkContext: NOT re-entrant.
   ReceiveIntoOutcome unprotect_into(const Principal& source,
                                     util::BytesView wire,
                                     util::Bytes& body_out);
@@ -91,29 +96,28 @@ class FbsEndpoint {
   bool protect_into(WorkContext& ctx, const Datagram& d, bool secret,
                     util::Bytes& wire_out);
 
-  /// Re-entrant FBSReceive; same threading contract as the protect_into
-  /// overload above. Replay check+commit executes atomically under the
-  /// owning shard's lock, so a duplicated wire racing itself from two
-  /// threads is accepted exactly once (strict-replay mode).
+  /// Re-entrant FBSReceive of one datagram (a burst of one); same
+  /// threading contract as the protect_into overload above.
   ReceiveIntoOutcome unprotect_into(WorkContext& ctx,
                                     const Principal& source,
                                     util::BytesView wire,
                                     util::Bytes& body_out);
 
-  /// Burst FBSReceive: the batched counterpart of the re-entrant
-  /// unprotect_into, built for the pipeline workers' per-ring-visit bursts.
-  /// Items are grouped by owning shard and each group is processed under
-  /// ONE domain lock; within a group, every eligible ciphertext (secret
-  /// DES-CBC body of valid length, with config().bitslice_crypto set) is
-  /// decrypted by the 256-lane bitsliced batch engine in ctx.batch -- mixed
-  /// flow keys included -- before per-datagram MAC verification and the
-  /// replay commit, when CryptoBatch's cost model says the group's blocks
-  /// run faster wide; otherwise each takes the scalar fused decrypt+MAC
-  /// pass. Ineligible items (plaintext, 3DES, stream modes, other
-  /// failures) take the scalar path inside the same critical section.
-  /// Outcome and plaintext land in each item. Observable results match
-  /// calling unprotect_into per item; only the grouping of lock
-  /// acquisitions and the cipher core differ.
+  /// FBSReceive, the receive datapath. Items are grouped by owning shard
+  /// and each group runs under ONE domain lock, in submission order:
+  /// admission (header checks, NOP-suite refusal, freshness), flow-key
+  /// resolution, open and MAC, then constant-time verify and the replay
+  /// commit. Every DES-CBC body of the group goes to one
+  /// crypto::fused_open_batch call, which decrypts the group's blocks
+  /// across the bitsliced engine's lanes (mixed flow keys included) when
+  /// CryptoBatch's cost model says that is faster, and otherwise runs the
+  /// scalar fused decrypt+MAC pass per datagram; config().bitslice_crypto
+  /// = false takes the fused pass directly. Other suites and plaintext
+  /// bodies are opened and MACed per datagram. Check and commit execute
+  /// atomically under the shard's lock, so a duplicated wire -- racing
+  /// itself from two threads or twice in one burst -- is accepted exactly
+  /// once under strict replay. Outcome and plaintext land in each item and
+  /// match what a burst of one per item would have produced.
   void unprotect_burst_into(WorkContext& ctx,
                             std::span<ReceiveBurstItem> items);
 
@@ -203,9 +207,11 @@ class FbsEndpoint {
                         const std::string& prefix) const;
 
  private:
-  /// Lifetime policy check (combined path tracks usage in the entry; the
-  /// split path tracks it on the FlowStateEntry via the policy).
-  bool key_worn_out(const CombinedFlowEntry& e, util::TimeUs now) const;
+  /// The key-lifetime policy: has a flow with this usage worn its key out?
+  /// Both send paths ask it -- the combined path of its CombinedFlowEntry,
+  /// the split path of the policy's FlowStateEntry.
+  bool key_worn_out(std::uint64_t datagrams, std::uint64_t bytes,
+                    util::TimeUs created, util::TimeUs now) const;
 
   /// Record a rejection in the domain's named field and by-kind array.
   /// Caller holds dom.mu.
@@ -227,20 +233,29 @@ class FbsEndpoint {
   std::optional<FlowKey> derive_incoming(FlowDomain& dom, WorkContext& ctx,
                                          const Principal& source, Sfl sfl);
 
-  /// The in-lock body of unprotect_into, from the post-parse header checks
-  /// through accept/reject. Caller holds dom.mu.
-  /// ctx.batch.open_cbc(jobs), its stats delta folded into dom.batch_stats
-  /// (caller holds dom.mu).
-  void open_batch(FlowDomain& dom, WorkContext& ctx,
-                  std::span<const crypto::CbcOpenJob> jobs);
-  ReceiveIntoOutcome unprotect_item_locked(FlowDomain& dom, WorkContext& ctx,
-                                           const Principal& source,
-                                           const FbsHeaderView& header,
-                                           util::Bytes& body_out);
-  /// One ≤64-item slice of a burst (the batch engine's lane width bounds
-  /// the per-chunk stack state, not the lane assignment).
-  void unprotect_burst_chunk(WorkContext& ctx,
-                             std::span<ReceiveBurstItem> items);
+  // --- The receive datapath (unprotect_burst_into; every other receive
+  // entry point is a burst of one). Caller holds dom.mu where noted. ---
+
+  /// One chunk of at most WorkContext::kBurstChunk datagrams: parse, then
+  /// per same-shard group under one lock admission, key resolution, open
+  /// and MAC, verify and commit.
+  void receive_chunk(WorkContext& ctx, std::span<ReceiveBurstItem> items);
+  /// Header checks, the wire-chosen NOP-suite refusal and the freshness
+  /// check; the rejection, if any. Caller holds dom.mu.
+  std::optional<ReceiveError> admit(FlowDomain& dom,
+                                    const std::optional<FbsHeaderView>& h);
+  /// Re-resolve a datagram's context once no further insert can happen:
+  /// the RFKC entry if it still holds the flow under `h.suite`, otherwise
+  /// a context rebuilt into ctx.rederived (re-derived if evicted). nullptr
+  /// if no master key for `source` can be obtained. Caller holds dom.mu.
+  FlowCryptoContext* settled_context(FlowDomain& dom, WorkContext& ctx,
+                                     const Principal& source,
+                                     const FbsHeaderView& h);
+  /// Recover `sl`'s plaintext into `body` and compute its expected MAC, or
+  /// queue a DES-CBC body as ctx.opens[nopen++] for fused_open_batch.
+  /// Caller holds dom.mu.
+  void open_one(FlowDomain& dom, WorkContext& ctx, ReceiveSlot& sl,
+                std::size_t& nopen, util::Bytes& body);
   static void cache_key_into(Sfl sfl, const Principal& a, const Principal& b,
                              util::Bytes& out);
 
@@ -261,7 +276,7 @@ class FbsEndpoint {
   std::array<std::unique_ptr<crypto::Mac>, 8> suite_macs_;  // by MacAlgorithm
   std::vector<std::unique_ptr<FlowDomain>> domains_;
 
-  /// Serves the legacy (context-free) protect/unprotect overloads.
+  /// Serves the protect/unprotect overloads that take no WorkContext.
   WorkContext default_ctx_;
 
   /// Aggregation staging for the stats accessors: mutable so the accessors

@@ -20,20 +20,13 @@ FreshnessChecker::Verdict FreshnessChecker::check(
   return Verdict::kFresh;
 }
 
-bool FreshnessChecker::seen(std::uint32_t timestamp_minutes,
-                            util::BytesView mac) const {
-  if (!strict_replay_) return false;
-  const Bucket* b = bucket_for(timestamp_minutes);
-  return b && b->macs.find(MacKey::of(mac)) != nullptr;
-}
-
-void FreshnessChecker::commit(std::uint32_t timestamp_minutes,
+bool FreshnessChecker::commit(std::uint32_t timestamp_minutes,
                               util::BytesView mac) {
-  if (!strict_replay_) return;
+  if (!strict_replay_) return true;
   // Out-of-window commits are dropped: letting a stale minute claim a ring
   // slot could evict a bucket an in-window minute is still using.
   if (!in_window(timestamp_minutes, util::to_header_minutes(clock_.now())))
-    return;
+    return true;
   Bucket& b = ring_[timestamp_minutes % ring_.size()];
   if (b.minute != timestamp_minutes) {
     // The slot's previous minute slid out of the window; repurpose in place
@@ -42,7 +35,7 @@ void FreshnessChecker::commit(std::uint32_t timestamp_minutes,
     b.minute = timestamp_minutes;
     b.macs.clear();
   }
-  b.macs.try_emplace(MacKey::of(mac), 1);
+  return b.macs.try_emplace(MacKey::of(mac), 1).second;
 }
 
 }  // namespace fbs::core

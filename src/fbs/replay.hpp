@@ -67,17 +67,14 @@ class FreshnessChecker {
   Verdict check(std::uint32_t timestamp_minutes, util::BytesView mac);
 
   /// Record an accepted datagram's MAC in the within-window replay cache.
-  /// Only call after MAC verification succeeds; a no-op unless strict
-  /// replay is enabled.
-  void commit(std::uint32_t timestamp_minutes, util::BytesView mac);
-
-  /// Non-counting probe of the strict-replay seen-set alone. The burst
-  /// receive path needs it: every datagram of a burst passes check() before
-  /// any of them commits, so two copies of one wire inside a single locked
-  /// burst would otherwise both slip through. Always false when strict
-  /// replay is off (matching check(), which admits within-window duplicates
-  /// there by design).
-  bool seen(std::uint32_t timestamp_minutes, util::BytesView mac) const;
+  /// Only call after MAC verification succeeds. Returns false -- the
+  /// datagram is a replay -- when the MAC is already there: every datagram
+  /// of a receive burst passes check() before any of them commits, so two
+  /// copies of one wire inside a single locked burst both pass check(), and
+  /// commit is what refuses the second. Always true unless strict replay is
+  /// enabled (window-only freshness admits within-window duplicates by
+  /// design).
+  bool commit(std::uint32_t timestamp_minutes, util::BytesView mac);
 
   /// Forget all recently seen MACs (crash/restart simulation). Degrades to
   /// the paper's window-only freshness check until the cache refills.

@@ -476,9 +476,10 @@ std::vector<util::Bytes> seeds_keying() {
 // --- Engine receive path -------------------------------------------------
 
 /// A minimal two-principal world (CA, directory, MKDs, key managers) built
-/// once per process; the engine target replays mutated genuine wires into
-/// it. Deliberately mirrors tests/support/world.hpp without depending on
-/// test-only headers.
+/// once per process, because RSA and DH key generation are too slow to
+/// repeat per execution. It holds no datagram-path state: the endpoints
+/// live in EngineRun. Deliberately mirrors tests/support/world.hpp without
+/// depending on test-only headers.
 struct EngineWorld {
   util::SplitMix64 rng{1997};
   util::VirtualClock clock{util::minutes(1000)};
@@ -487,7 +488,6 @@ struct EngineWorld {
   core::Principal alice, bob;
   std::unique_ptr<core::MasterKeyDaemon> alice_mkd, bob_mkd;
   std::unique_ptr<core::KeyManager> alice_keys, bob_keys;
-  std::unique_ptr<core::FbsEndpoint> sender, receiver;
 
   EngineWorld() : ca(512, rng) {
     const crypto::DhGroup& group = crypto::test_group();
@@ -507,10 +507,6 @@ struct EngineWorld {
     };
     setup("10.0.0.1", alice, alice_mkd, alice_keys);
     setup("10.0.0.2", bob, bob_mkd, bob_keys);
-    sender = std::make_unique<core::FbsEndpoint>(alice, core::FbsConfig{},
-                                                 *alice_keys, clock, rng);
-    receiver = std::make_unique<core::FbsEndpoint>(bob, core::FbsConfig{},
-                                                   *bob_keys, clock, rng);
   }
 };
 
@@ -519,8 +515,21 @@ EngineWorld& engine_world() {
   return world;
 }
 
+/// One execution's sender and receiver, built fresh from a fixed seed so
+/// every execution starts from the same confounders, sfls and caches: an
+/// input's verdict does not depend on what ran before it.
+struct EngineRun {
+  util::SplitMix64 rng{0xE4611E};
+  core::FbsEndpoint sender, receiver;
+
+  explicit EngineRun(EngineWorld& w)
+      : sender(w.alice, core::FbsConfig{}, *w.alice_keys, w.clock, rng),
+        receiver(w.bob, core::FbsConfig{}, *w.bob_keys, w.clock, rng) {}
+};
+
 bool run_engine(util::BytesView input) {
   EngineWorld& w = engine_world();
+  EngineRun run(w);
   FuzzInput in(input);
   const std::uint8_t mode = in.u8();
   util::Bytes body_buf;
@@ -529,7 +538,7 @@ bool run_engine(util::BytesView input) {
     // Raw mode: arbitrary bytes straight into unprotect_into. Must never
     // crash; authenticating is a MAC forgery and essentially impossible.
     const auto outcome =
-        w.receiver->unprotect_into(w.alice, in.rest(), body_buf);
+        run.receiver.unprotect_into(w.alice, in.rest(), body_buf);
     return std::holds_alternative<core::ReceivedInfo>(outcome);
   }
 
@@ -545,7 +554,7 @@ bool run_engine(util::BytesView input) {
   d.attrs.destination_port = 9;
   const util::BytesView body = in.take(body_len);
   d.body.assign(body.begin(), body.end());
-  const auto wire = w.sender->protect(d, secret);
+  const auto wire = run.sender.protect(d, secret);
   FUZZ_CHECK(wire.has_value(), input);
 
   util::Bytes mutated = *wire;
@@ -569,7 +578,7 @@ bool run_engine(util::BytesView input) {
     }
   }
 
-  const auto outcome = w.receiver->unprotect_into(w.alice, mutated, body_buf);
+  const auto outcome = run.receiver.unprotect_into(w.alice, mutated, body_buf);
   if (std::holds_alternative<core::ReceivedInfo>(outcome)) {
     // Accept implies untampered: every header field is MAC-covered or
     // validated, so only the byte-exact sender output may authenticate --

@@ -29,8 +29,8 @@ enum class Stage {
   kRecvKey,           // receive-side key recovery (RFKC / derivation)
   kRecvCipher,        // body decryption
   kRecvMac,           // MAC verification
-  kRecvFused,         // fused decrypt+MAC pass (replaces kRecvCipher+kRecvMac)
-  kRecvBatchCrypto,   // cross-datagram bitsliced decrypt of a worker burst
+  kRecvFused,         // fused decrypt+MAC of a burst's DES-CBC bodies
+  kRecvBatchCrypto,   // the same, when it ran at least one bitsliced pass
 };
 inline constexpr std::size_t kStageCount = 13;
 

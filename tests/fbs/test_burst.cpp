@@ -2,8 +2,8 @@
 // unprotect_into item by item: same outcomes (accepts, every rejection
 // kind), same plaintexts, same stats -- only the cipher work is scheduled
 // differently (cross-datagram bitsliced decrypt). Two receivers built from
-// the same node keys see the same wires; one takes the per-item path, one
-// the burst path, and everything they observe is compared.
+// the same node keys see the same wires; one takes them as bursts of one,
+// one as a single burst, and everything they observe is compared.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -140,17 +140,25 @@ TEST_F(BurstTest, MixedBurstMatchesPerItemPath) {
 }
 
 TEST_F(BurstTest, MixedSuitesInOneBurst) {
-  // Wire-negotiated suites decide batch eligibility per item: DES-CBC rides
-  // the lanes, CFB and 3DES take the scalar path inside the same burst, and
-  // all of them must agree with the per-item verdicts.
+  // Wire-negotiated suites decide each item's open per item: DES-CBC goes
+  // to the batch open, CFB, 3DES and plaintext bodies are opened in place
+  // inside the same burst, a DES-CBC body of no whole block count fails to
+  // decrypt, a copy re-suited to another MAC fails it without taking the
+  // genuine copy down, and a wire-chosen NOP suite is refused -- all of
+  // them must agree with the per-item verdicts. The second run uses a
+  // one-entry RFKC, so the CFB/3DES inserts evict pending DES-CBC contexts
+  // mid-burst.
   FbsConfig cbc_cfg;
   FbsConfig cfb_cfg;
   cfb_cfg.suite.cipher = crypto::CipherAlgorithm::kDesCfb;
   FbsConfig des3_cfg;
   des3_cfg.suite.cipher = crypto::CipherAlgorithm::kDes3Ede;
+  FbsConfig nop_cfg;
+  nop_cfg.suite.mac = crypto::MacAlgorithm::kNull;
   auto send_cbc = sender(cbc_cfg);
   auto send_cfb = sender(cfb_cfg);
   auto send_des3 = sender(des3_cfg);
+  auto send_nop = sender(nop_cfg);
 
   std::vector<util::Bytes> wires;
   for (int i = 0; i < 6; ++i) {
@@ -164,17 +172,48 @@ TEST_F(BurstTest, MixedSuitesInOneBurst) {
     ASSERT_TRUE(wire.has_value());
     wires.push_back(*wire);
   }
+  const auto plain = send_cbc->protect(
+      datagram(send_cbc->self(), bob_node_->principal, "suite mix plain",
+               3006),
+      /*secret=*/false);
+  ASSERT_TRUE(plain.has_value());
+  wires.push_back(*plain);
+  util::Bytes ragged = wires[0];
+  ragged.resize(ragged.size() - 3);
+  wires.push_back(ragged);
+  // wires[0] with its MAC nibble rewritten (keyed MD5 -> HMAC-MD5): same
+  // flow, another suite, so it re-suits the RFKC entry wires[0] resolved.
+  util::Bytes resuited = wires[0];
+  resuited[1] ^= 0x30;
+  wires.push_back(resuited);
+  const auto nop = send_nop->protect(
+      datagram(send_nop->self(), bob_node_->principal, "forged", 3007),
+      /*secret=*/true);
+  ASSERT_TRUE(nop.has_value());
+  wires.push_back(*nop);
 
-  FbsConfig rx_cfg;
-  auto bob_item = receiver(rx_cfg);
-  auto bob_burst = receiver(rx_cfg);
-  expect_burst_equivalence(*bob_item, *bob_burst, send_cbc->self(), wires);
+  for (const std::size_t rfkc_size : {std::size_t{256}, std::size_t{1}}) {
+    SCOPED_TRACE(rfkc_size);
+    FbsConfig rx_cfg;
+    rx_cfg.rfkc_size = rfkc_size;
+    auto bob_item = receiver(rx_cfg);
+    auto bob_burst = receiver(rx_cfg);
+    expect_burst_equivalence(*bob_item, *bob_burst, send_cbc->self(), wires);
+    EXPECT_EQ(bob_burst->receive_stats().accepted, 7u);
+    EXPECT_EQ(bob_burst->receive_stats().rejected_by(
+                  ReceiveError::kDecryptFailed),
+              1u);
+    EXPECT_EQ(bob_burst->receive_stats().rejected_by(ReceiveError::kMalformed),
+              1u);
+    EXPECT_EQ(bob_burst->receive_stats().rejected_by(ReceiveError::kBadMac),
+              1u);
+  }
 }
 
 TEST_F(BurstTest, IntraBurstDuplicateRejectedUnderStrictReplay) {
   // Both copies of a duplicated wire pass the freshness check before either
-  // commits (one critical section per burst); the seen() probe must still
-  // reject exactly the second copy, matching the per-item path.
+  // commits (one critical section per burst); the commit must still reject
+  // exactly the second copy, matching the per-item path.
   FbsConfig cfg;
   cfg.strict_replay = true;
   auto alice = sender(cfg);
@@ -212,8 +251,8 @@ TEST_F(BurstTest, DuplicatesAdmittedWithoutStrictReplay) {
 
 TEST_F(BurstTest, EvictedSiblingRederivationsAreCountedAndTimed) {
   // A one-entry RFKC: each of k distinct flows in one burst misses and
-  // derives in admission, evicting its predecessor; the batch phase then
-  // finds only the last flow cached and derives the other k-1 again. Those
+  // derives at key resolution, evicting its predecessor; the open phase
+  // then finds only the last flow cached and derives the other k-1 again. Those
   // are real derivations: 2k-1 counted, and each one timed as recv.key.
   constexpr std::size_t kFlows = 6;
   FbsConfig cfg;
@@ -246,6 +285,39 @@ TEST_F(BurstTest, EvictedSiblingRederivationsAreCountedAndTimed) {
   // recv.key: one sample per admitted item plus one per re-derivation.
   EXPECT_EQ(bob->tracer().recorder(obs::Stage::kRecvKey).count(),
             2 * kFlows - 1);
+}
+
+TEST_F(BurstTest, BurstRecordsParseStage) {
+  // Parsing happens outside the lock for every item of a burst, and each
+  // item's parse is recorded as one recv.parse sample -- a malformed wire's
+  // included.
+  FbsConfig cfg;
+  auto alice = sender(cfg);
+  cfg.trace_stages = true;
+  auto bob = receiver(cfg);
+  std::vector<util::Bytes> wires;
+  for (int i = 0; i < 5; ++i) {
+    const auto wire = alice->protect(
+        datagram(alice->self(), bob_node_->principal,
+                 "parse " + std::to_string(i),
+                 static_cast<std::uint16_t>(4000 + i % 2)),
+        /*secret=*/i % 2 == 0);
+    ASSERT_TRUE(wire.has_value());
+    wires.push_back(*wire);
+  }
+  wires.push_back(util::Bytes(7, 0xAB));
+  std::vector<util::Bytes> bodies(wires.size());
+  std::vector<ReceiveBurstItem> items(wires.size());
+  for (std::size_t i = 0; i < wires.size(); ++i) {
+    items[i].source = &alice_node_->principal;
+    items[i].wire = wires[i];
+    items[i].body_out = &bodies[i];
+  }
+  WorkContext ctx;
+  bob->unprotect_burst_into(ctx, items);
+  EXPECT_EQ(bob->receive_stats().accepted, wires.size() - 1);
+  EXPECT_EQ(bob->tracer().recorder(obs::Stage::kRecvParse).count(),
+            wires.size());
 }
 
 TEST_F(BurstTest, BitsliceDisabledStillMatches) {

@@ -61,10 +61,6 @@ TEST_P(FuzzDriver, CorpusReplaysAndDriverBudgetRunsClean) {
 // same seed -> identical stats, so a corpus-replay failure is reproducible.
 TEST_P(FuzzDriver, DeterministicForAFixedSeed) {
   const FuzzTarget& target = *GetParam();
-  if (target.name == "engine") {
-    GTEST_SKIP() << "stateful world: protect() draws a fresh confounder per "
-                    "call, so whether an edit is a no-op varies between runs";
-  }
   DriverOptions options;
   options.iterations = 60;
   options.seed = 42;

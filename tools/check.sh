@@ -25,9 +25,9 @@
 #                                 # udp: two OS processes, FBS handshake +
 #                                 # protected datagrams + replay injection
 #                                 # over 127.0.0.1, pcaps decoded by
-#                                 # tools/fbs_dissect.py), then the
-#                                 # fig8_udp_loopback bench (gauges to
-#                                 # metrics JSON; not baseline-gated)
+#                                 # tools/fbs_dissect.py); loopback
+#                                 # throughput is measured by perfbench
+#                                 # (--workload bulk_1408)
 #   tools/check.sh --megaflow-smoke  # ASan+UBSan build, run the million-flow
 #                                 # control-plane suites (ctest -L megaflow:
 #                                 # flat map, timer wheel, key caches and
@@ -213,24 +213,20 @@ if [ "${1:-}" = "--udp-smoke" ]; then
   # interop test forks the example pair, completes an FBS handshake and
   # MAC-verified protected traffic between two OS processes over loopback,
   # injects replays, and round-trips both pcap captures through the
-  # dissector. The bench then measures the same workload in-process;
-  # loopback throughput is host-kernel dependent, so its gauges are
-  # recorded, not compared against BENCH_seed.json.
+  # dissector. Loopback throughput is perfbench's job
+  # (python3 perfbench/run.py --workload bulk_1408).
   echo "== configure ($BUILD_DIR) =="
   cmake -B "$BUILD_DIR" -S . $CONFIG_ARGS
   echo "== build udp backend + interop harness =="
   cmake --build "$BUILD_DIR" -j "$JOBS" \
     --target test_net udp_loopback_responder udp_loopback_initiator \
-             test_udp_interop fbs_bench_fig8_udp_loopback
+             test_udp_interop
   echo "== udp transport unit tests =="
   "$BUILD_DIR/tests/test_net" \
     --gtest_filter='UdpTransport*:Pcap*:TransportTotals*:TransportMetrics*'
   "$BUILD_DIR/tests/test_util" --gtest_filter='SteadyClock*'
   echo "== cross-process loopback interop (ctest -L udp) =="
   ctest --test-dir "$BUILD_DIR" -L udp -j "$JOBS" --output-on-failure
-  echo "== fig8_udp_loopback bench =="
-  FBS_METRICS_OUT="$BUILD_DIR/fig8_udp_loopback.metrics.json" \
-    "$BUILD_DIR/bench/fbs_bench_fig8_udp_loopback"
   echo "UDP smoke passed."
   exit 0
 fi
