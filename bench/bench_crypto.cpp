@@ -126,18 +126,13 @@ struct BitsliceBurst {
 
   std::size_t bytes() const { return jobs.size() * kCtBytes; }
 
-  /// The scalar reference: per-job table-driven CBC decrypt, the exact
-  /// block recurrence CryptoBatch's own fallback runs.
+  /// The scalar reference: per-job table-driven CBC decrypt, the same
+  /// Des::decrypt_cbc CryptoBatch's own fallback runs.
   void decrypt_scalar() {
     for (const auto& job : jobs) {
       std::uint64_t chain = job.iv;
-      for (std::size_t off = 0; off < job.ciphertext.size(); off += 8) {
-        const std::uint64_t ct =
-            crypto::Des::load_be64(&job.ciphertext[off]);
-        crypto::Des::store_be64(job.des->decrypt_block(ct) ^ chain,
-                                job.plaintext + off);
-        chain = ct;
-      }
+      job.des->decrypt_cbc(chain, job.ciphertext.data(), job.plaintext,
+                           job.ciphertext.size() / crypto::Des::kBlockSize);
     }
   }
 
@@ -215,35 +210,54 @@ void BM_DesScalarCbcDecryptBatch(benchmark::State& state) {
 BENCHMARK(BM_DesScalarCbcDecryptBatch)->Arg(64);
 
 void BM_KeyedMd5Mac(benchmark::State& state) {
-  crypto::KeyedPrefixMac mac(std::make_unique<crypto::Md5>());
-  const util::Bytes key = buffer_of(16);
+  // The per-datagram MAC as the engine runs it: a per-flow keyed-MD5
+  // context, key absorbed once.
+  const auto ctx = crypto::Mac(crypto::MacAlgorithm::kKeyedMd5)
+                       .make_context(buffer_of(16));
   const util::Bytes data = buffer_of(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(mac.compute(key, {data}));
+  std::uint8_t tag[crypto::kMaxMacSize];
+  for (auto _ : state) {
+    ctx.compute_into({data}, tag);
+    benchmark::DoNotOptimize(tag);
+    benchmark::ClobberMemory();
+  }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
 BENCHMARK(BM_KeyedMd5Mac)->Arg(64)->Arg(1460);
 
 void BM_HmacMd5(benchmark::State& state) {
-  crypto::HmacMac mac(std::make_unique<crypto::Md5>());
-  const util::Bytes key = buffer_of(16);
+  const auto ctx = crypto::Mac(crypto::MacAlgorithm::kHmacMd5)
+                       .make_context(buffer_of(16));
   const util::Bytes data = buffer_of(1460);
-  for (auto _ : state) benchmark::DoNotOptimize(mac.compute(key, {data}));
+  std::uint8_t tag[crypto::kMaxMacSize];
+  for (auto _ : state) {
+    ctx.compute_into({data}, tag);
+    benchmark::DoNotOptimize(tag);
+    benchmark::ClobberMemory();
+  }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           1460);
 }
 BENCHMARK(BM_HmacMd5);
 
 void BM_TwoPassMacThenEncrypt(benchmark::State& state) {
-  // Reference: separate MD5 pass and DES-CBC pass over the payload.
+  // Reference: separate MD5 pass and DES-CBC pass over the payload, with
+  // the same per-flow context and reused ciphertext buffer as the fused
+  // seal below.
   const crypto::Des des(buffer_of(8));
-  crypto::KeyedPrefixMac mac(std::make_unique<crypto::Md5>());
-  const util::Bytes key = buffer_of(16), prefix = buffer_of(8);
+  const auto ctx = crypto::Mac(crypto::MacAlgorithm::kKeyedMd5)
+                       .make_context(buffer_of(16));
+  const util::Bytes prefix = buffer_of(8);
   const util::Bytes data = buffer_of(static_cast<std::size_t>(state.range(0)));
+  std::uint8_t tag[crypto::kMaxMacSize];
+  util::Bytes ct;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mac.compute(key, {prefix, data}));
-    benchmark::DoNotOptimize(
-        crypto::encrypt(des, crypto::CipherMode::kCbc, 42, data));
+    ctx.compute_into({prefix, data}, tag);
+    crypto::encrypt_into(des, crypto::CipherMode::kCbc, 42, data, ct);
+    benchmark::DoNotOptimize(ct.data());
+    benchmark::DoNotOptimize(tag);
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
@@ -254,8 +268,8 @@ void BM_FusedMacEncrypt(benchmark::State& state) {
   // Section 5.3's single data-touching pass, as the engine runs it: a
   // per-flow keyed-MD5 context and a reused ciphertext buffer.
   const crypto::Des des(buffer_of(8));
-  crypto::KeyedPrefixMac mac(std::make_unique<crypto::Md5>());
-  const auto ctx = mac.make_context(buffer_of(16));
+  const auto ctx = crypto::Mac(crypto::MacAlgorithm::kKeyedMd5)
+                       .make_context(buffer_of(16));
   const util::Bytes prefix = buffer_of(8);
   const util::Bytes data = buffer_of(static_cast<std::size_t>(state.range(0)));
   std::uint8_t tag[crypto::Md5::kDigestSize];
@@ -363,7 +377,7 @@ struct OpenSweepPoint {
   OpenSweepPoint(std::size_t jobs, std::size_t blocks, bool mixed) {
     util::SplitMix64 rng(jobs * 1000 + blocks * 2 + (mixed ? 1 : 0));
     const std::size_t keys = mixed ? jobs : 1;
-    crypto::KeyedPrefixMac mac_alg(std::make_unique<crypto::Md5>());
+    const crypto::Mac mac_alg(crypto::MacAlgorithm::kKeyedMd5);
     for (std::size_t k = 0; k < keys; ++k) {
       const util::Bytes key = rng.next_bytes(8);
       des.emplace_back(key);
@@ -457,8 +471,9 @@ void emit_metrics() {
   obs::MetricsRegistry reg;
   const util::Bytes data = buffer_of(1460);
   const crypto::Des des(buffer_of(8));
-  crypto::KeyedPrefixMac mac(std::make_unique<crypto::Md5>());
-  const util::Bytes key = buffer_of(16), prefix = buffer_of(8);
+  const auto mac_ctx = crypto::Mac(crypto::MacAlgorithm::kKeyedMd5)
+                           .make_context(buffer_of(16));
+  const util::Bytes prefix = buffer_of(8);
 
   auto rate_kBps = [&](auto&& op) {
     constexpr int kReps = 2000;  // ~2.9 MB per primitive
@@ -476,14 +491,16 @@ void emit_metrics() {
     benchmark::DoNotOptimize(
         crypto::encrypt(des, crypto::CipherMode::kCbc, 42, data));
   }));
+  std::uint8_t mac_tag[crypto::kMaxMacSize];
   reg.gauge("crypto.keyed_md5_mac.kBps").set(rate_kBps([&] {
-    benchmark::DoNotOptimize(mac.compute(key, {data}));
+    mac_ctx.compute_into({data}, mac_tag);
+    benchmark::DoNotOptimize(mac_tag);
+    benchmark::ClobberMemory();
   }));
-  const auto fused_ctx = mac.make_context(key);
   std::uint8_t fused_tag[crypto::Md5::kDigestSize];
   util::Bytes fused_ct;
   reg.gauge("crypto.fused_md5_des_cbc.kBps").set(rate_kBps([&] {
-    crypto::fused_seal_into(des, 42, fused_ctx, prefix, data, fused_tag,
+    crypto::fused_seal_into(des, 42, mac_ctx, prefix, data, fused_tag,
                             fused_ct);
     benchmark::DoNotOptimize(fused_ct.data());
     benchmark::DoNotOptimize(fused_tag);

@@ -9,11 +9,17 @@
 
 #include <optional>
 
+#include "crypto/des.hpp"
 #include "fbs/keying.hpp"
 #include "fbs/principal.hpp"
 #include "util/rng.hpp"
 
 namespace fbs::baselines {
+
+/// DES keyed by the first eight bytes of K_{S,D}, zero-padded: the
+/// master key of a small Diffie-Hellman group can be shorter than a DES
+/// key.
+crypto::Des master_key_des(util::BytesView master);
 
 class HostPairProtocol {
  public:

@@ -67,10 +67,12 @@ std::optional<util::Bytes> KdcSessionProtocol::protect(
 
   const crypto::Des des(session.key);
   const std::uint64_t iv = iv_gen_.next_u64();
-  crypto::KeyedPrefixMac mac(std::make_unique<crypto::Md5>());
   util::ByteWriter iv_bytes(8);
   iv_bytes.u64(iv);
-  const util::Bytes tag = mac.compute(session.key, {iv_bytes.view(), d.body});
+  std::uint8_t tag[crypto::Md5::kDigestSize];
+  crypto::Mac(crypto::MacAlgorithm::kKeyedMd5)
+      .make_context(session.key)
+      .compute_into({iv_bytes.view(), d.body}, tag);
 
   util::ByteWriter w;
   w.u16(static_cast<std::uint16_t>(session.ticket.size()));
@@ -112,10 +114,12 @@ std::optional<util::Bytes> KdcSessionProtocol::unprotect(
   auto body = crypto::decrypt(des, crypto::CipherMode::kCbc, *iv, r.rest());
   if (!body) return std::nullopt;
 
-  crypto::KeyedPrefixMac mac(std::make_unique<crypto::Md5>());
   util::ByteWriter iv_bytes(8);
   iv_bytes.u64(*iv);
-  const util::Bytes expected = mac.compute(key, {iv_bytes.view(), *body});
+  std::uint8_t expected[crypto::Md5::kDigestSize];
+  crypto::Mac(crypto::MacAlgorithm::kKeyedMd5)
+      .make_context(key)
+      .compute_into({iv_bytes.view(), *body}, expected);
   if (!util::ct_equal(expected, *tag)) return std::nullopt;
   return body;
 }

@@ -1,5 +1,6 @@
 #include "baselines/perdatagram.hpp"
 
+#include "baselines/hostpair.hpp"
 #include "crypto/block_modes.hpp"
 #include "crypto/des.hpp"
 #include "crypto/mac.hpp"
@@ -20,18 +21,18 @@ std::optional<util::Bytes> PerDatagramKeyProtocol::protect(
   const util::Bytes datagram_key = key_rng_.next_bytes(kDatagramKeySize);
 
   // The master key only ever encrypts the datagram key.
-  const crypto::Des master_des(
-      util::BytesView(*master).subspan(0, crypto::Des::kKeySize));
+  const crypto::Des master_des = master_key_des(*master);
   const util::Bytes wrapped = crypto::encrypt(
       master_des, crypto::CipherMode::kEcb, 0, datagram_key);
 
   const crypto::Des data_des(datagram_key);
   const std::uint64_t iv = iv_gen_.next_u64();
-  crypto::KeyedPrefixMac mac(std::make_unique<crypto::Md5>());
   util::ByteWriter iv_bytes(8);
   iv_bytes.u64(iv);
-  const util::Bytes tag =
-      mac.compute(datagram_key, {iv_bytes.view(), d.body});
+  std::uint8_t tag[crypto::Md5::kDigestSize];
+  crypto::Mac(crypto::MacAlgorithm::kKeyedMd5)
+      .make_context(datagram_key)
+      .compute_into({iv_bytes.view(), d.body}, tag);
 
   util::ByteWriter w;
   w.bytes(wrapped);  // 16 bytes (8-byte key + PKCS#7 pad block)
@@ -51,8 +52,7 @@ std::optional<util::Bytes> PerDatagramKeyProtocol::unprotect(
 
   const auto master = keys_.master_key(source);
   if (!master) return std::nullopt;
-  const crypto::Des master_des(
-      util::BytesView(*master).subspan(0, crypto::Des::kKeySize));
+  const crypto::Des master_des = master_key_des(*master);
   const auto datagram_key =
       crypto::decrypt(master_des, crypto::CipherMode::kEcb, 0, *wrapped);
   if (!datagram_key || datagram_key->size() != kDatagramKeySize)
@@ -63,11 +63,12 @@ std::optional<util::Bytes> PerDatagramKeyProtocol::unprotect(
                               r.rest());
   if (!body) return std::nullopt;
 
-  crypto::KeyedPrefixMac mac(std::make_unique<crypto::Md5>());
   util::ByteWriter iv_bytes(8);
   iv_bytes.u64(*iv);
-  const util::Bytes expected =
-      mac.compute(*datagram_key, {iv_bytes.view(), *body});
+  std::uint8_t expected[crypto::Md5::kDigestSize];
+  crypto::Mac(crypto::MacAlgorithm::kKeyedMd5)
+      .make_context(*datagram_key)
+      .compute_into({iv_bytes.view(), *body}, expected);
   if (!util::ct_equal(expected, *tag)) return std::nullopt;
   return body;
 }

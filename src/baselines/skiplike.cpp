@@ -30,10 +30,12 @@ std::optional<util::Bytes> SkipLikeProtocol::protect(const core::Datagram& d) {
 
   const crypto::Des des(util::BytesView(key).subspan(0, crypto::Des::kKeySize));
   const std::uint64_t iv = iv_gen_.next_u64();
-  crypto::KeyedPrefixMac mac(std::make_unique<crypto::Md5>());
   util::ByteWriter iv_bytes(8);
   iv_bytes.u64(iv);
-  const util::Bytes tag = mac.compute(key, {iv_bytes.view(), d.body});
+  std::uint8_t tag[crypto::Md5::kDigestSize];
+  crypto::Mac(crypto::MacAlgorithm::kKeyedMd5)
+      .make_context(key)
+      .compute_into({iv_bytes.view(), d.body}, tag);
 
   util::ByteWriter w;
   w.u64(n);
@@ -59,10 +61,12 @@ std::optional<util::Bytes> SkipLikeProtocol::unprotect(
   auto body = crypto::decrypt(des, crypto::CipherMode::kCbc, *iv, r.rest());
   if (!body) return std::nullopt;
 
-  crypto::KeyedPrefixMac mac(std::make_unique<crypto::Md5>());
   util::ByteWriter iv_bytes(8);
   iv_bytes.u64(*iv);
-  const util::Bytes expected = mac.compute(key, {iv_bytes.view(), *body});
+  std::uint8_t expected[crypto::Md5::kDigestSize];
+  crypto::Mac(crypto::MacAlgorithm::kKeyedMd5)
+      .make_context(key)
+      .compute_into({iv_bytes.view(), *body}, expected);
   if (!util::ct_equal(expected, *tag)) return std::nullopt;
   return body;
 }

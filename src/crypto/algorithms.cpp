@@ -1,8 +1,5 @@
 #include "crypto/algorithms.hpp"
 
-#include "crypto/md5.hpp"
-#include "crypto/sha1.hpp"
-
 namespace fbs::crypto {
 
 std::uint8_t encode_suite(AlgorithmSuite suite) {
@@ -13,16 +10,7 @@ std::uint8_t encode_suite(AlgorithmSuite suite) {
 std::optional<AlgorithmSuite> decode_suite(std::uint8_t wire) {
   const auto mac = static_cast<MacAlgorithm>(wire >> 4);
   const auto cipher = static_cast<CipherAlgorithm>(wire & 0xF);
-  switch (mac) {
-    case MacAlgorithm::kKeyedMd5:
-    case MacAlgorithm::kHmacMd5:
-    case MacAlgorithm::kKeyedSha1:
-    case MacAlgorithm::kHmacSha1:
-    case MacAlgorithm::kNull:
-      break;
-    default:
-      return std::nullopt;
-  }
+  if (mac_size(mac) == 0) return std::nullopt;
   switch (cipher) {
     case CipherAlgorithm::kNone:
     case CipherAlgorithm::kDesCbc:
@@ -38,33 +26,8 @@ std::optional<AlgorithmSuite> decode_suite(std::uint8_t wire) {
 }
 
 std::unique_ptr<Mac> make_mac(MacAlgorithm alg) {
-  switch (alg) {
-    case MacAlgorithm::kKeyedMd5:
-      return std::make_unique<KeyedPrefixMac>(std::make_unique<Md5>());
-    case MacAlgorithm::kHmacMd5:
-      return std::make_unique<HmacMac>(std::make_unique<Md5>());
-    case MacAlgorithm::kKeyedSha1:
-      return std::make_unique<KeyedPrefixMac>(std::make_unique<Sha1>());
-    case MacAlgorithm::kHmacSha1:
-      return std::make_unique<HmacMac>(std::make_unique<Sha1>());
-    case MacAlgorithm::kNull:
-      return std::make_unique<NullMac>();
-  }
-  return nullptr;
-}
-
-std::size_t mac_size(MacAlgorithm alg) {
-  switch (alg) {
-    case MacAlgorithm::kKeyedMd5:
-    case MacAlgorithm::kHmacMd5:
-      return Md5::kDigestSize;
-    case MacAlgorithm::kKeyedSha1:
-    case MacAlgorithm::kHmacSha1:
-      return Sha1::kDigestSize;
-    case MacAlgorithm::kNull:
-      return 16;  // keeps the header layout identical to the MD5 suites
-  }
-  return 0;
+  if (mac_size(alg) == 0) return nullptr;
+  return std::make_unique<Mac>(alg);
 }
 
 std::optional<CipherMode> cipher_mode(CipherAlgorithm alg) {

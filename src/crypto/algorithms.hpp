@@ -16,17 +16,6 @@
 
 namespace fbs::crypto {
 
-enum class MacAlgorithm : std::uint8_t {
-  kKeyedMd5 = 1,   // H(K | ...) with MD5: the paper's MAC
-  kHmacMd5 = 2,    // RFC 2104
-  kKeyedSha1 = 3,  // H(K | ...) with SHS
-  kHmacSha1 = 4,
-  /// "Nullified" MAC for the FBS NOP configuration of Figure 8: returns a
-  /// constant 128-bit tag immediately, so protocol overhead can be measured
-  /// with cryptography out of the picture. NOT a security mode.
-  kNull = 5,
-};
-
 enum class CipherAlgorithm : std::uint8_t {
   kNone = 0,  // authentication-only datagrams
   kDesCbc = 1,
@@ -53,9 +42,10 @@ inline AlgorithmSuite default_suite() { return {}; }
 std::uint8_t encode_suite(AlgorithmSuite suite);
 std::optional<AlgorithmSuite> decode_suite(std::uint8_t wire);
 
-/// Instantiate the MAC for a suite. Never null for a valid enum value.
+/// The MAC for a suite, for callers that hold it by pointer. Never null
+/// for a valid enum value. (A Mac is a one-byte value: Mac(alg) builds one
+/// in place.)
 std::unique_ptr<Mac> make_mac(MacAlgorithm alg);
-std::size_t mac_size(MacAlgorithm alg);
 
 /// Block-cipher mode for a cipher algorithm; nullopt for kNone.
 std::optional<CipherMode> cipher_mode(CipherAlgorithm alg);

@@ -241,13 +241,7 @@ void CryptoBatch::open_cbc(std::span<const CbcOpenJob> jobs) {
       std::uint8_t* pt = job.plaintext + Des::kBlockSize * b;
       std::uint64_t chain =
           b == 0 ? job.iv : Des::load_be64(ct - Des::kBlockSize);
-      for (std::size_t k = b; k < n; ++k) {
-        const std::uint64_t c = Des::load_be64(ct);
-        Des::store_be64(job.des->decrypt_block(c) ^ chain, pt);
-        chain = c;
-        ct += Des::kBlockSize;
-        pt += Des::kBlockSize;
-      }
+      job.des->decrypt_cbc(chain, ct, pt, n - b);
     }
     stats_.scalar_blocks += spill;
   }
@@ -314,15 +308,7 @@ void CryptoBatch::seal_group(std::span<const CbcSealJob> jobs) {
 void CryptoBatch::open_scalar(const CbcOpenJob& job) {
   const std::size_t n = open_blocks(job);
   std::uint64_t chain = job.iv;
-  const std::uint8_t* ct = job.ciphertext.data();
-  std::uint8_t* pt = job.plaintext;
-  for (std::size_t b = 0; b < n; ++b) {
-    const std::uint64_t c = Des::load_be64(ct);
-    Des::store_be64(job.des->decrypt_block(c) ^ chain, pt);
-    chain = c;
-    ct += Des::kBlockSize;
-    pt += Des::kBlockSize;
-  }
+  job.des->decrypt_cbc(chain, job.ciphertext.data(), job.plaintext, n);
   stats_.scalar_blocks += n;
 }
 

@@ -163,6 +163,17 @@ void Des::encrypt_cbc(std::uint64_t& chain, const std::uint8_t* in,
   chain = fp64(state);
 }
 
+void Des::decrypt_cbc(std::uint64_t& chain, const std::uint8_t* in,
+                      std::uint8_t* out, std::size_t nblocks) const {
+  for (std::size_t i = 0; i < nblocks; ++i) {
+    const std::uint64_t c = load_be64(in);  // read before `out` may overwrite
+    store_be64(crypt(c, true) ^ chain, out);
+    chain = c;
+    in += kBlockSize;
+    out += kBlockSize;
+  }
+}
+
 std::uint64_t Des::crypt_trace(std::uint64_t block, bool decrypt,
                                RoundTrace& trace) const {
   std::uint32_t l = static_cast<std::uint32_t>(block >> 32);

@@ -53,6 +53,11 @@ class Des {
   /// the serial dependency: bit-identical to chaining encrypt_block.
   void encrypt_cbc(std::uint64_t& chain, const std::uint8_t* in,
                    std::uint8_t* out, std::size_t nblocks) const;
+  /// The CBC-decrypt counterpart, with the same contract: `chain` is the
+  /// IV on entry and the last ciphertext block on return, and `out` may be
+  /// `in`. No block waits on another's rounds, so the core overlaps them.
+  void decrypt_cbc(std::uint64_t& chain, const std::uint8_t* in,
+                   std::uint8_t* out, std::size_t nblocks) const;
 
   /// Per-round intermediate values (FIPS 46 notation): l[0]/r[0] are L0/R0
   /// (after IP), l[i]/r[i] are Li/Ri after round i. For tests comparing

@@ -43,30 +43,26 @@ void fused_seal_into(const Des& des, std::uint64_t iv, const MacContext& mac,
 bool fused_open_into(const Des& des, std::uint64_t iv, const MacContext& mac,
                      util::BytesView mac_prefix, util::BytesView ciphertext,
                      std::uint8_t* mac_out, util::Bytes& body) {
-  const std::size_t kBlock = Des::kBlockSize;
+  constexpr std::size_t kBlock = Des::kBlockSize;
   if (ciphertext.empty() || ciphertext.size() % kBlock != 0) return false;
 
   MacRun run(mac);
   run.update(mac_prefix);
   body.resize(ciphertext.size());
 
-  // Every block but the last is hashed the moment it is decrypted; the
-  // last block's body bytes are only known after the padding check.
+  // Chunk by chunk, as the seal: each chunk is hashed right after it is
+  // decrypted, while still in L1 -- all but the last block, whose body
+  // bytes are only known after the padding check.
+  constexpr std::size_t kChunk = 8 * kBlock;
   const std::size_t last_off = ciphertext.size() - kBlock;
   std::uint64_t chain = iv;
-  for (std::size_t off = 0; off < ciphertext.size(); off += kBlock) {
-    const std::uint64_t ct = Des::load_be64(&ciphertext[off]);
-    Des::store_be64(des.decrypt_block(ct) ^ chain, &body[off]);
-    chain = ct;
-    if (off < last_off) run.update({body.data() + off, kBlock});
+  for (std::size_t off = 0; off < ciphertext.size(); off += kChunk) {
+    const std::size_t n = std::min(kChunk, ciphertext.size() - off);
+    des.decrypt_cbc(chain, &ciphertext[off], &body[off], n / kBlock);
+    run.update({body.data() + off, std::min(n, last_off - off)});
   }
 
-  const std::uint8_t pad = body.back();
-  if (pad == 0 || pad > kBlock) return false;
-  for (std::size_t i = body.size() - pad; i < body.size(); ++i)
-    if (body[i] != pad) return false;
-  body.resize(body.size() - pad);
-
+  if (!detail::pkcs7_unpad_in_place(body)) return false;
   if (body.size() > last_off)
     run.update({body.data() + last_off, body.size() - last_off});
   run.finish_into(mac_out);

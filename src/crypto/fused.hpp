@@ -3,11 +3,13 @@
 // pass. For example, if data confidentiality is desired, then the MAC
 // computation and encryption should be rolled into one loop."
 //
-// This is that loop for the paper's default suite: the MD5 MAC absorbs each
-// 64-byte chunk of plaintext right after DES-CBC encrypts it, so the
-// payload crosses the memory hierarchy once instead of twice. Results are
-// bit-identical to running KeyedPrefixMac then encrypt() separately (the
-// equivalence is unit-tested); the benefit is measured by fbs_bench_crypto.
+// This is that loop for every DES-CBC suite: the MAC absorbs each 64-byte
+// chunk of plaintext right after DES-CBC encrypts (or, on open, decrypts)
+// it, so the payload crosses the memory hierarchy once instead of twice.
+// Results are bit-identical to computing the MAC through the same
+// MacContext and running encrypt() separately (the equivalence is
+// unit-tested for every MacAlgorithm); the benefit is measured by
+// fbs_bench_crypto.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +24,8 @@ namespace fbs::crypto {
 
 /// One pass over `body` for a per-flow context: keyed MAC over
 /// `mac_prefix | body` and DES-CBC encryption with `iv` and PKCS#7 padding.
-/// `mac` is a keyed MacContext (for the default suite, a KeyedPrefixMac
-/// over MD5, so the tag is MD5(key | mac_prefix | body)); `mac_prefix` is
+/// `mac` is a keyed MacContext of any MacAlgorithm (for the default suite,
+/// keyed MD5, so the tag is MD5(key | mac_prefix | body)); `mac_prefix` is
 /// the header material (the caller's flags|suite|confounder|timestamp)
 /// hashed between the key and the payload. `mac_out` receives
 /// mac.mac_size() bytes, and `ciphertext` is a reused caller buffer.
@@ -32,7 +34,7 @@ void fused_seal_into(const Des& des, std::uint64_t iv, const MacContext& mac,
                      std::uint8_t* mac_out, util::Bytes& ciphertext);
 
 /// The receive-side single pass: DES-CBC decrypt and MAC the recovered
-/// plaintext block by block while it is hot in cache. `body` is resized to
+/// plaintext chunk by chunk while it is hot in cache. `body` is resized to
 /// the unpadded plaintext and `mac_out` receives the tag the sender would
 /// have produced (the caller compares it against the header's). Returns
 /// false on malformed length or PKCS#7 padding.

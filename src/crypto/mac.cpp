@@ -9,9 +9,9 @@ namespace fbs::crypto {
 
 namespace {
 
-/// Large enough for any digest (MD5 = 16, SHA-1 = 20) or block (64 bytes
-/// for both).
-constexpr std::size_t kMaxDigestSize = 64;
+/// MD5 and SHA-1 share a 64-byte block.
+constexpr std::size_t kHashBlockSize = Md5::kBlockSize;
+static_assert(Sha1::kBlockSize == kHashBlockSize);
 
 /// Call fn on the hash a state holds, if any (the null MAC holds none).
 template <typename State, typename Fn>
@@ -23,14 +23,6 @@ void with_hash(State& state, Fn&& fn) {
           fn(h);
       },
       state);
-}
-
-/// A reset state of the same algorithm as `hash`.
-template <typename State>
-State fresh_state(const Hash& hash) {
-  if (dynamic_cast<const Md5*>(&hash)) return Md5{};
-  if (dynamic_cast<const Sha1*>(&hash)) return Sha1{};
-  throw std::invalid_argument("MacContext: unsupported hash");
 }
 
 }  // namespace
@@ -56,34 +48,43 @@ void MacRun::finish_into(std::uint8_t* out) {
     return;
   }
   // HMAC: H(K ^ opad | H(K ^ ipad | message)), both pad states precomputed.
-  std::uint8_t inner_digest[kMaxDigestSize];
+  std::uint8_t inner_digest[kMaxMacSize];
   with_hash(work_, [&](auto& h) { h.finish_into(inner_digest); });
   work_ = mac_.outer_;
   with_hash(work_, [&](auto& h) {
-    h.update({inner_digest, h.digest_size()});
+    h.update({inner_digest, h.kDigestSize});
     h.finish_into(out);
   });
 }
 
-MacContext KeyedPrefixMac::make_context(util::BytesView key) const {
+MacContext Mac::make_context(util::BytesView key) const {
   MacContext ctx;
-  ctx.size_ = static_cast<std::uint8_t>(hash_->digest_size());
-  ctx.inner_ = fresh_state<MacContext::State>(*hash_);
-  with_hash(ctx.inner_, [&](auto& h) { h.update(key); });
-  return ctx;
-}
-
-MacContext HmacMac::make_context(util::BytesView key) const {
-  MacContext ctx;
-  ctx.size_ = static_cast<std::uint8_t>(hash_->digest_size());
-  ctx.hmac_ = true;
-  ctx.inner_ = fresh_state<MacContext::State>(*hash_);
+  ctx.size_ = static_cast<std::uint8_t>(mac_size());
+  switch (alg_) {
+    case MacAlgorithm::kKeyedMd5:
+    case MacAlgorithm::kHmacMd5:
+      ctx.inner_ = Md5{};
+      break;
+    case MacAlgorithm::kKeyedSha1:
+    case MacAlgorithm::kHmacSha1:
+      ctx.inner_ = Sha1{};
+      break;
+    case MacAlgorithm::kNull:
+      return ctx;
+    default:
+      throw std::invalid_argument("Mac: unknown algorithm");
+  }
+  ctx.hmac_ =
+      alg_ == MacAlgorithm::kHmacMd5 || alg_ == MacAlgorithm::kHmacSha1;
+  if (!ctx.hmac_) {
+    with_hash(ctx.inner_, [&](auto& h) { h.update(key); });
+    return ctx;
+  }
   ctx.outer_ = ctx.inner_;
   // Keys longer than a block are hashed first (RFC 2104); the padded key
   // block is stack scratch, absorbed into the two pad states here once.
-  const std::size_t block = hash_->block_size();
-  std::uint8_t k[kMaxDigestSize] = {};
-  if (key.size() > block) {
+  std::uint8_t k[kHashBlockSize] = {};
+  if (key.size() > kHashBlockSize) {
     MacContext::State t = ctx.inner_;
     with_hash(t, [&](auto& h) {
       h.update(key);
@@ -92,77 +93,12 @@ MacContext HmacMac::make_context(util::BytesView key) const {
   } else {
     std::copy(key.begin(), key.end(), k);
   }
-  std::uint8_t pad[kMaxDigestSize];
-  for (std::size_t i = 0; i < block; ++i) pad[i] = k[i] ^ 0x36;
-  with_hash(ctx.inner_, [&](auto& h) { h.update({pad, block}); });
-  for (std::size_t i = 0; i < block; ++i) pad[i] = k[i] ^ 0x5c;
-  with_hash(ctx.outer_, [&](auto& h) { h.update({pad, block}); });
+  std::uint8_t pad[kHashBlockSize];
+  for (std::size_t i = 0; i < kHashBlockSize; ++i) pad[i] = k[i] ^ 0x36;
+  with_hash(ctx.inner_, [&](auto& h) { h.update(pad); });
+  for (std::size_t i = 0; i < kHashBlockSize; ++i) pad[i] = k[i] ^ 0x5c;
+  with_hash(ctx.outer_, [&](auto& h) { h.update(pad); });
   return ctx;
-}
-
-MacContext NullMac::make_context(util::BytesView) const {
-  MacContext ctx;
-  ctx.size_ = static_cast<std::uint8_t>(size_);
-  return ctx;
-}
-
-util::Bytes KeyedPrefixMac::compute(
-    util::BytesView key,
-    std::initializer_list<util::BytesView> chunks) const {
-  auto ctx = hash_->clone();
-  ctx->reset();
-  ctx->update(key);
-  for (auto c : chunks) ctx->update(c);
-  return ctx->finish();
-}
-
-util::Bytes HmacMac::compute(
-    util::BytesView key,
-    std::initializer_list<util::BytesView> chunks) const {
-  const std::size_t block = hash_->block_size();
-
-  // Keys longer than a block are hashed first (RFC 2104).
-  util::Bytes k(key.begin(), key.end());
-  if (k.size() > block) {
-    auto ctx = hash_->clone();
-    ctx->reset();
-    ctx->update(k);
-    k = ctx->finish();
-  }
-  k.resize(block, 0);
-
-  util::Bytes ipad(block), opad(block);
-  for (std::size_t i = 0; i < block; ++i) {
-    ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
-  }
-
-  auto inner = hash_->clone();
-  inner->reset();
-  inner->update(ipad);
-  for (auto c : chunks) inner->update(c);
-  const util::Bytes inner_digest = inner->finish();
-
-  auto outer = hash_->clone();
-  outer->reset();
-  outer->update(opad);
-  outer->update(inner_digest);
-  return outer->finish();
-}
-
-util::Bytes hmac(Hash& hash, util::BytesView key, util::BytesView message) {
-  HmacMac mac(hash.clone());
-  return mac.compute(key, {message});
-}
-
-util::Bytes hmac_md5(util::BytesView key, util::BytesView message) {
-  Md5 h;
-  return hmac(h, key, message);
-}
-
-util::Bytes hmac_sha1(util::BytesView key, util::BytesView message) {
-  Sha1 h;
-  return hmac(h, key, message);
 }
 
 }  // namespace fbs::crypto

@@ -3,22 +3,59 @@
 // The paper's header MAC (Section 5.2) is the keyed-prefix construction
 //     HMAC(Kf | confounder | timestamp | payload)
 // with "HMAC" meaning "some one-way cryptographic hash function" -- i.e.
-// keyed MD5 in the 1997 implementation (Section 7.2). We provide that
-// construction (KeyedPrefixMac) plus the modern RFC 2104 HMAC as an
-// alternative algorithm selectable through the header's algorithm field.
+// keyed MD5 in the 1997 implementation (Section 7.2). The header's
+// algorithm field picks the hash (MD5 or SHA-1) and the construction: that
+// keyed prefix, the modern RFC 2104 HMAC, or the null MAC of the NOP
+// measurement configuration. Mac names one such choice; make_context binds
+// it to a flow key, and every tag is computed through the MacContext.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <variant>
 
-#include "crypto/hash.hpp"
 #include "crypto/md5.hpp"
 #include "crypto/sha1.hpp"
 #include "util/bytes.hpp"
 
 namespace fbs::crypto {
+
+enum class MacAlgorithm : std::uint8_t {
+  kKeyedMd5 = 1,   // H(K | ...) with MD5: the paper's MAC
+  kHmacMd5 = 2,    // RFC 2104
+  kKeyedSha1 = 3,  // H(K | ...) with SHS
+  kHmacSha1 = 4,
+  /// "Nullified" MAC for the FBS NOP configuration of Figure 8: returns a
+  /// constant 128-bit tag immediately, so protocol overhead can be measured
+  /// with cryptography out of the picture. NOT a security mode.
+  kNull = 5,
+};
+
+inline constexpr MacAlgorithm kMacAlgorithms[] = {
+    MacAlgorithm::kKeyedMd5, MacAlgorithm::kHmacMd5, MacAlgorithm::kKeyedSha1,
+    MacAlgorithm::kHmacSha1, MacAlgorithm::kNull};
+
+/// Tag length of `alg` in bytes; 0 for a value that names no algorithm.
+constexpr std::size_t mac_size(MacAlgorithm alg) {
+  switch (alg) {
+    case MacAlgorithm::kKeyedMd5:
+    case MacAlgorithm::kHmacMd5:
+      return Md5::kDigestSize;
+    case MacAlgorithm::kKeyedSha1:
+    case MacAlgorithm::kHmacSha1:
+      return Sha1::kDigestSize;
+    case MacAlgorithm::kNull:
+      return 16;  // keeps the header layout identical to the MD5 suites
+  }
+  return 0;
+}
+
+/// Room for any tag a MacAlgorithm produces: SHA-1's 20 bytes.
+inline constexpr std::size_t kMaxMacSize = Sha1::kDigestSize;
+static_assert(std::ranges::all_of(kMacAlgorithms, [](MacAlgorithm a) {
+  return mac_size(a) <= kMaxMacSize;
+}));
 
 /// A MAC bound to one key, held by value: construction (Mac::make_context)
 /// does the per-key work once -- absorbing the key; for HMAC, hashing an
@@ -36,14 +73,12 @@ class MacContext {
                     std::uint8_t* out) const;
 
  private:
-  friend class KeyedPrefixMac;
-  friend class HmacMac;
-  friend class NullMac;
+  friend class Mac;
   friend class MacRun;
   /// A state of the concrete hash; monostate for the null MAC.
   using State = std::variant<std::monostate, Md5, Sha1>;
 
-  MacContext() = default;  // built only by the Mac implementations
+  MacContext() = default;  // built only by Mac::make_context
 
   State inner_;  // keyed prefix: key absorbed; HMAC: K ^ ipad absorbed
   State outer_;  // HMAC only: K ^ opad absorbed
@@ -67,73 +102,23 @@ class MacRun {
   MacContext::State work_;
 };
 
-/// Common interface: a MAC over (key, message chunks).
-class Mac {
+/// The MAC a suite names: one byte, freely copied. The keyed-prefix
+/// constructions compute H(key | chunk_0 | chunk_1 | ...), the paper's
+/// MAC; it is open to length extension in general, acceptable here because
+/// the protocol never exposes intermediate hashes and the message layout
+/// is fixed. The HMAC constructions are RFC 2104.
+class Mac final {
  public:
-  virtual ~Mac() = default;
-  virtual std::size_t mac_size() const = 0;
-  /// Compute the tag over the concatenation of `chunks`.
-  virtual util::Bytes compute(
-      util::BytesView key,
-      std::initializer_list<util::BytesView> chunks) const = 0;
+  explicit Mac(MacAlgorithm alg) : alg_(alg) {}
+
+  MacAlgorithm algorithm() const { return alg_; }
+  std::size_t mac_size() const { return crypto::mac_size(alg_); }
   /// Bind this MAC to `key`, doing all per-key precomputation up front.
-  virtual MacContext make_context(util::BytesView key) const = 0;
-};
-
-/// The paper's construction: tag = H(key | chunk_0 | chunk_1 | ...).
-/// Vulnerable to length extension in general; acceptable here because the
-/// protocol never exposes intermediate hashes and the message layout is
-/// fixed -- but see HmacMac for the robust choice.
-class KeyedPrefixMac final : public Mac {
- public:
-  explicit KeyedPrefixMac(std::unique_ptr<Hash> hash)
-      : hash_(std::move(hash)) {}
-
-  std::size_t mac_size() const override { return hash_->digest_size(); }
-  util::Bytes compute(
-      util::BytesView key,
-      std::initializer_list<util::BytesView> chunks) const override;
-  MacContext make_context(util::BytesView key) const override;
+  /// Throws std::invalid_argument if the algorithm value names no MAC.
+  MacContext make_context(util::BytesView key) const;
 
  private:
-  std::unique_ptr<Hash> hash_;
+  MacAlgorithm alg_;
 };
-
-/// RFC 2104 HMAC over any Hash.
-class HmacMac final : public Mac {
- public:
-  explicit HmacMac(std::unique_ptr<Hash> hash) : hash_(std::move(hash)) {}
-
-  std::size_t mac_size() const override { return hash_->digest_size(); }
-  util::Bytes compute(
-      util::BytesView key,
-      std::initializer_list<util::BytesView> chunks) const override;
-  MacContext make_context(util::BytesView key) const override;
-
- private:
-  std::unique_ptr<Hash> hash_;
-};
-
-/// The "nullified" MAC of the paper's FBS NOP measurement configuration
-/// (Section 7.3): returns immediately with a constant tag. Exists so the
-/// Figure 8 bench can separate protocol overhead from cryptography cost.
-class NullMac final : public Mac {
- public:
-  explicit NullMac(std::size_t size = 16) : size_(size) {}
-  std::size_t mac_size() const override { return size_; }
-  util::Bytes compute(util::BytesView,
-                      std::initializer_list<util::BytesView>) const override {
-    return util::Bytes(size_, 0);
-  }
-  MacContext make_context(util::BytesView key) const override;
-
- private:
-  std::size_t size_;
-};
-
-/// Convenience one-shots.
-util::Bytes hmac(Hash& hash, util::BytesView key, util::BytesView message);
-util::Bytes hmac_md5(util::BytesView key, util::BytesView message);
-util::Bytes hmac_sha1(util::BytesView key, util::BytesView message);
 
 }  // namespace fbs::crypto

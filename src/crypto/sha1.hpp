@@ -5,27 +5,29 @@
 #include <array>
 #include <cstdint>
 
-#include "crypto/hash.hpp"
+#include "util/bytes.hpp"
 
 namespace fbs::crypto {
 
-class Sha1 final : public Hash {
+/// Streaming context, a plain value: copying one copies the running
+/// state, which is how MAC contexts keep their precomputed key states.
+class Sha1 {
  public:
   static constexpr std::size_t kDigestSize = 20;
   static constexpr std::size_t kBlockSize = 64;
 
   Sha1() { reset(); }
 
-  std::size_t digest_size() const override { return kDigestSize; }
-  std::size_t block_size() const override { return kBlockSize; }
-  void reset() override;
-  void update(util::BytesView data) override;
-  void finish_into(std::uint8_t* out) override;
-  void copy_from(const Hash& other) override {
-    *this = static_cast<const Sha1&>(other);
-  }
-  std::unique_ptr<Hash> clone() const override {
-    return std::make_unique<Sha1>(*this);
+  void reset();
+  void update(util::BytesView data);
+  /// Finish into a caller-provided buffer of kDigestSize bytes without
+  /// allocating; the context must be reset() before reuse.
+  void finish_into(std::uint8_t* out);
+  /// Finish and return the digest (allocating convenience wrapper).
+  util::Bytes finish() {
+    util::Bytes digest(kDigestSize);
+    finish_into(digest.data());
+    return digest;
   }
 
  private:

@@ -182,8 +182,6 @@ struct ReceiveStats {
 struct ReceiveSlot {
   /// flags | suite | confounder | timestamp: the MAC's non-payload input.
   static constexpr std::size_t kMacPrefixSize = 10;
-  /// Room for any MAC tag we produce (MD5 = 16, SHA-1 = 20).
-  static constexpr std::size_t kMaxMacSize = 64;
   static constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
 
   std::optional<FbsHeaderView> header;
@@ -198,7 +196,7 @@ struct ReceiveSlot {
   std::size_t job = kNoJob;  // its fused_open_batch job, if it has one
   bool opened = false;       // plaintext recovered and MAC computed
   std::uint8_t prefix[kMacPrefixSize]{};
-  std::uint8_t mac[kMaxMacSize]{};
+  std::uint8_t mac[crypto::kMaxMacSize]{};
 };
 
 /// Per-worker scratch making protect_into/unprotect_into re-entrant: every

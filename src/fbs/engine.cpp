@@ -37,8 +37,6 @@ std::uint64_t confounder_iv(std::uint32_t confounder) {
   return static_cast<std::uint64_t>(confounder) << 32 | confounder;
 }
 
-constexpr std::size_t kMaxMacSize = ReceiveSlot::kMaxMacSize;
-
 using SteadyClock = std::chrono::steady_clock;
 
 double ns_since(SteadyClock::time_point t0) {
@@ -126,27 +124,11 @@ FbsEndpoint::FbsEndpoint(Principal self, const FbsConfig& config,
   // direct-mapped array; the budgeted megaflow table replaces both halves
   // of that bargain, so the split path is forced on.
   if (config_.max_flows_per_shard != 0) config_.combined_fst_tfkc = false;
-  // Every Mac the receive path could consult, built once. Mac instances are
-  // immutable (make_context is const) so all domains and workers share
-  // these; the per-flow MacContexts they key live in domain caches under
-  // the domain lock.
-  for (const auto alg :
-       {crypto::MacAlgorithm::kKeyedMd5, crypto::MacAlgorithm::kHmacMd5,
-        crypto::MacAlgorithm::kKeyedSha1, crypto::MacAlgorithm::kHmacSha1,
-        crypto::MacAlgorithm::kNull}) {
-    suite_macs_[static_cast<std::size_t>(alg)] = crypto::make_mac(alg);
-  }
   domains_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i)
     domains_.push_back(std::make_unique<FlowDomain>(config_, clock_,
                                                     sfl_alloc_,
                                                     rng.next_u64()));
-}
-
-const crypto::Mac& FbsEndpoint::suite_mac(crypto::MacAlgorithm alg) const {
-  const std::size_t idx = static_cast<std::size_t>(alg);
-  assert(idx < suite_macs_.size() && suite_macs_[idx] != nullptr);
-  return *suite_macs_[idx];
 }
 
 void FbsEndpoint::cache_key_into(Sfl sfl, const Principal& a,
@@ -216,7 +198,7 @@ std::optional<std::pair<Sfl, FlowCryptoContext*>> FbsEndpoint::outgoing_flow(
     auto derive_timer = dom.tracer.start(obs::Stage::kSendKeyDerive);
     e.ctx = make_flow_crypto_context(
         derive_flow_key(ctx.kdf_hash, sfl, ctx.master, self_, d.destination),
-        config_.suite, suite_mac(config_.suite.mac));
+        config_.suite, crypto::Mac(config_.suite.mac));
     derive_timer.finish();
     e.valid = true;
     e.attrs = d.attrs;
@@ -246,7 +228,7 @@ std::optional<std::pair<Sfl, FlowCryptoContext*>> FbsEndpoint::outgoing_flow(
       ctx.key, make_flow_crypto_context(
                    derive_flow_key(ctx.kdf_hash, mapping.sfl, ctx.master,
                                    self_, d.destination),
-                   config_.suite, suite_mac(config_.suite.mac)));
+                   config_.suite, crypto::Mac(config_.suite.mac)));
   derive_timer.finish();
   return std::make_pair(mapping.sfl, fctx);
 }
@@ -282,12 +264,11 @@ bool FbsEndpoint::protect_into(WorkContext& ctx, const Datagram& d,
   std::uint8_t prefix[kMacPrefixSize];
   mac_prefix_into(header.flags_byte(), header.suite_byte(),
                   header.confounder, header.timestamp_minutes, prefix);
-  std::uint8_t mac_buf[kMaxMacSize];
+  std::uint8_t mac_buf[crypto::kMaxMacSize];
   const std::size_t mac_n = fctx->mac->mac_size();
 
   util::BytesView body;
   if (header.secret &&
-      config_.suite.mac == crypto::MacAlgorithm::kKeyedMd5 &&
       config_.suite.cipher == crypto::CipherAlgorithm::kDesCbc) {
     // Section 5.3 single-pass optimization: MAC and encryption in one loop
     // over the payload (bit-identical to the two-pass path).
@@ -345,13 +326,13 @@ FlowCryptoContext* FbsEndpoint::incoming_flow_context(
   if (auto* cached = dom.rfkc.lookup(ctx.key)) {
     // A receiver can see the same sfl under a different header suite; the
     // rare mismatch rebuilds the contexts from the cached key.
-    ensure_suite(*cached, suite, suite_mac(suite.mac));
+    ensure_suite(*cached, suite);
     return cached;
   }
   const std::optional<FlowKey> key = derive_incoming(dom, ctx, source, sfl);
   if (!key) return nullptr;
   return dom.rfkc.insert(
-      ctx.key, make_flow_crypto_context(*key, suite, suite_mac(suite.mac)));
+      ctx.key, make_flow_crypto_context(*key, suite, crypto::Mac(suite.mac)));
 }
 
 std::optional<FlowKey> FbsEndpoint::derive_incoming(FlowDomain& dom,
@@ -410,15 +391,15 @@ FlowCryptoContext* FbsEndpoint::settled_context(FlowDomain& dom,
   auto* cached = const_cast<FlowCryptoContext*>(dom.rfkc.peek(ctx.key));
   if (cached && cached->suite == h.suite) return cached;
   if (cached)  // a later datagram of this flow re-suited the shared entry
-    return &ctx.rederived.emplace_back(
-        make_flow_crypto_context(cached->key, h.suite, suite_mac(h.suite.mac)));
+    return &ctx.rederived.emplace_back(make_flow_crypto_context(
+        cached->key, h.suite, crypto::Mac(h.suite.mac)));
   // Evicted by a later datagram's insert: derive again, into burst-local
   // storage -- a real derivation, counted and timed like any other.
   auto key_timer = dom.tracer.start(obs::Stage::kRecvKey);
   const std::optional<FlowKey> key = derive_incoming(dom, ctx, source, h.sfl);
   if (!key) return nullptr;
   return &ctx.rederived.emplace_back(
-      make_flow_crypto_context(*key, h.suite, suite_mac(h.suite.mac)));
+      make_flow_crypto_context(*key, h.suite, crypto::Mac(h.suite.mac)));
 }
 
 void FbsEndpoint::open_one(FlowDomain& dom, WorkContext& ctx,

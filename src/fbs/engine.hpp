@@ -259,11 +259,6 @@ class FbsEndpoint {
   static void cache_key_into(Sfl sfl, const Principal& a, const Principal& b,
                              util::Bytes& out);
 
-  /// One immutable Mac instance per suite, built eagerly in the
-  /// constructor; Mac itself is stateless (make_context is const), so the
-  /// array is safely shared by every domain and worker.
-  const crypto::Mac& suite_mac(crypto::MacAlgorithm alg) const;
-
   std::size_t shard_index(std::uint64_t hash) const {
     return static_cast<std::size_t>(hash % domains_.size());
   }
@@ -273,7 +268,6 @@ class FbsEndpoint {
   KeyManager& keys_;
   const util::Clock& clock_;
   SflAllocator sfl_alloc_;  // atomic counter, shared by all domains
-  std::array<std::unique_ptr<crypto::Mac>, 8> suite_macs_;  // by MacAlgorithm
   std::vector<std::unique_ptr<FlowDomain>> domains_;
 
   /// Serves the protect/unprotect overloads that take no WorkContext.

@@ -28,6 +28,7 @@ FlowCryptoContext make_flow_crypto_context(util::BytesView key,
                                            crypto::AlgorithmSuite suite,
                                            const crypto::Mac& mac_alg) {
   assert(key.size() == kFlowKeySize);
+  assert(mac_alg.algorithm() == suite.mac);
   FlowCryptoContext ctx;
   std::copy_n(key.begin(), kFlowKeySize, ctx.key.begin());
   ctx.suite = suite;
@@ -53,11 +54,10 @@ FlowCryptoContext make_flow_crypto_context(util::BytesView key,
   return ctx;
 }
 
-void ensure_suite(FlowCryptoContext& ctx, crypto::AlgorithmSuite suite,
-                  const crypto::Mac& mac_alg) {
+void ensure_suite(FlowCryptoContext& ctx, crypto::AlgorithmSuite suite) {
   if (ctx.suite == suite && ctx.mac) return;
   const FlowKey key = ctx.key;
-  ctx = make_flow_crypto_context(key, suite, mac_alg);
+  ctx = make_flow_crypto_context(key, suite, crypto::Mac(suite.mac));
 }
 
 MasterKeyDaemon::MasterKeyDaemon(Principal self, bignum::Uint private_value,

@@ -32,7 +32,6 @@
 #include "crypto/des3.hpp"
 #include "crypto/des_bitslice.hpp"
 #include "crypto/dh.hpp"
-#include "crypto/hash.hpp"
 #include "crypto/mac.hpp"
 #include "crypto/md5.hpp"
 #include "fbs/caches.hpp"
@@ -76,15 +75,14 @@ struct FlowCryptoContext {
 };
 
 /// Build the per-flow context for `suite` from a kFlowKeySize-byte K_f.
-/// `mac_alg` is the (cached, per-suite) Mac instance matching suite.mac.
+/// `mac_alg` must be the Mac of suite.mac.
 FlowCryptoContext make_flow_crypto_context(util::BytesView key,
                                            crypto::AlgorithmSuite suite,
                                            const crypto::Mac& mac_alg);
 
 /// Rebuild `ctx`'s des/mac for `suite` if it was keyed for a different one
 /// (a receiver can see the same sfl under different header suites).
-void ensure_suite(FlowCryptoContext& ctx, crypto::AlgorithmSuite suite,
-                  const crypto::Mac& mac_alg);
+void ensure_suite(FlowCryptoContext& ctx, crypto::AlgorithmSuite suite);
 
 struct MkdStats {
   std::uint64_t upcalls = 0;

@@ -223,14 +223,14 @@ void MeshNetwork::connect(Ipv4Address a, Ipv4Address b,
                           const TransitLinkConfig& config) {
   routers_.at(a)->add_link(b, config);
   routers_.at(b)->add_link(a, config);
-  if (sim_) sim_->set_link(a, b, config.wire);
+  net_.set_link(a, b, config.wire);
   edges_.push_back(Edge{a, b, false});
 }
 
 void MeshNetwork::attach_host(Ipv4Address host, Ipv4Address router,
                               const TransitLinkConfig& config) {
   routers_.at(router)->add_link(host, config);
-  if (sim_) sim_->set_link(host, router, config.wire);
+  net_.set_link(host, router, config.wire);
   hosts_[host] = router;
 }
 
@@ -293,7 +293,7 @@ void MeshNetwork::set_edge_state(Ipv4Address a, Ipv4Address b, bool down) {
 
 void MeshNetwork::flap_link(Ipv4Address a, Ipv4Address b, util::TimeUs from,
                             util::TimeUs until) {
-  if (sim_) sim_->partition(a, b, from, until);
+  net_.partition(a, b, from, until);
   schedule(from, [this, a, b]() {
     set_edge_state(a, b, true);
     recompute_routes();
@@ -306,7 +306,7 @@ void MeshNetwork::flap_link(Ipv4Address a, Ipv4Address b, util::TimeUs from,
 
 void MeshNetwork::crash_router(Ipv4Address router, util::TimeUs at,
                                util::TimeUs until) {
-  if (sim_) sim_->partition_host(router, at, until);
+  net_.partition_host(router, at, until);
   schedule(at, [this, router]() {
     routers_.at(router)->crash();
     recompute_routes();

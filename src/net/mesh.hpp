@@ -149,17 +149,11 @@ class TransitRouter {
 /// router-granularity fault scheduling.
 class MeshNetwork {
  public:
-  /// The mesh is transport-generic for forwarding and timers; the
-  /// wire-fault APIs (per-hop LinkParams, partitions) exist only on the
-  /// sim backend and are reached through a dynamic_cast -- on any other
-  /// Transport they are documented no-ops (the real wire supplies its own
-  /// faults).
-  MeshNetwork(Transport& net, const util::Clock& clock,
+  /// The mesh runs on the sim backend: its fault plan (per-hop LinkParams,
+  /// partitions, crashes) drives SimNetwork's wire faults directly.
+  MeshNetwork(SimNetwork& net, const util::Clock& clock,
               util::RandomSource& rng)
-      : net_(net),
-        sim_(dynamic_cast<SimNetwork*>(&net)),
-        clock_(clock),
-        rng_(rng) {}
+      : net_(net), clock_(clock), rng_(rng) {}
 
   TransitRouter& add_router(Ipv4Address addr);
   /// Bidirectional router<->router adjacency (one egress queue each way).
@@ -221,8 +215,7 @@ class MeshNetwork {
   void set_edge_state(Ipv4Address a, Ipv4Address b, bool down);
   void schedule(util::TimeUs at, std::function<void()> fn);
 
-  Transport& net_;
-  SimNetwork* sim_;  // non-null only on the sim backend (wire faults)
+  SimNetwork& net_;
   const util::Clock& clock_;
   util::RandomSource& rng_;
   std::map<Ipv4Address, std::unique_ptr<TransitRouter>> routers_;

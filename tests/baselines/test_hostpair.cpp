@@ -33,6 +33,18 @@ class HostPairTest : public ::testing::Test {
   std::unique_ptr<HostPairProtocol> bob_;
 };
 
+TEST(MasterKeyDes, ShortMasterKeyIsZeroPadded) {
+  // The test group's K_{S,D} is a few bytes long; the DES key is its
+  // prefix, zero-padded, and nothing past its end is read.
+  const util::Bytes short_key = {0x5b, 0xd4, 0x38, 0xeb};
+  const util::Bytes padded = {0x5b, 0xd4, 0x38, 0xeb, 0, 0, 0, 0};
+  EXPECT_EQ(master_key_des(short_key).encrypt_block(42),
+            crypto::Des(padded).encrypt_block(42));
+  const util::Bytes long_key = util::to_bytes("0123456789abcdef");
+  EXPECT_EQ(master_key_des(long_key).encrypt_block(42),
+            crypto::Des(util::BytesView(long_key).first(8)).encrypt_block(42));
+}
+
 TEST_F(HostPairTest, RoundTrip) {
   const auto wire = alice_->protect(dgram("host pair payload"));
   ASSERT_TRUE(wire.has_value());

@@ -73,10 +73,14 @@ TEST(Algorithms, MacFactoryProducesWorkingMacs) {
                    MacAlgorithm::kKeyedSha1, MacAlgorithm::kHmacSha1}) {
     const auto mac = make_mac(alg);
     ASSERT_NE(mac, nullptr);
-    const auto tag = mac->compute(key, {msg});
+    EXPECT_EQ(mac->algorithm(), alg);
+    const MacContext ctx = mac->make_context(key);
+    util::Bytes tag(ctx.mac_size());
+    ctx.compute_into({msg}, tag.data());
     EXPECT_EQ(tag.size(), mac_size(alg));
     EXPECT_EQ(tag.size(), mac->mac_size());
   }
+  EXPECT_EQ(make_mac(static_cast<MacAlgorithm>(0)), nullptr);
 }
 
 TEST(Algorithms, MacSizes) {

@@ -97,6 +97,8 @@ TEST(Des, EncryptCbcMatchesPerBlockChain) {
   // The hoisted-IP/FP chain must be bit-identical to chaining
   // encrypt_block, for every block count 0..200, into a separate buffer and
   // in place, and must hand back the last ciphertext block as the chain.
+  // decrypt_cbc must invert it under the same three call patterns and
+  // hand back the same chain.
   util::SplitMix64 rng(4096);
   for (std::size_t n = 0; n <= 200; ++n) {
     const Des des(rng.next_bytes(8));
@@ -128,6 +130,22 @@ TEST(Des, EncryptCbcMatchesPerBlockChain) {
     des.encrypt_cbc(chain, plain.data(), split.data(), k);
     des.encrypt_cbc(chain, plain.data() + 8 * k, split.data() + 8 * k, n - k);
     EXPECT_EQ(split, expect) << n << " split at " << k;
+
+    util::Bytes back(plain.size());
+    chain = iv;
+    des.decrypt_cbc(chain, expect.data(), back.data(), n);
+    EXPECT_EQ(back, plain) << n;
+    EXPECT_EQ(chain, ref_chain) << n;
+
+    back = expect;
+    chain = iv;
+    des.decrypt_cbc(chain, back.data(), back.data(), n);
+    EXPECT_EQ(back, plain) << n;
+
+    chain = iv;
+    des.decrypt_cbc(chain, expect.data(), back.data(), k);
+    des.decrypt_cbc(chain, expect.data() + 8 * k, back.data() + 8 * k, n - k);
+    EXPECT_EQ(back, plain) << n << " split at " << k;
   }
 }
 

@@ -4,36 +4,34 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "crypto/block_modes.hpp"
 #include "crypto/mac.hpp"
-#include "crypto/md5.hpp"
+#include "support/mac_reference.hpp"
 #include "util/rng.hpp"
 
 namespace fbs::crypto {
 namespace {
 
-/// The two-pass reference: a keyed-MD5 pass (KeyedPrefixMac's one-shot
-/// compute) then an encryption pass (encrypt()).
+/// The two-pass reference: the one-shot oracle MAC over prefix | body,
+/// then an encryption pass (encrypt()).
 struct TwoPass {
   util::Bytes mac;
   util::Bytes ciphertext;
 };
 
 TwoPass two_pass(const Des& des, std::uint64_t iv, util::BytesView mac_key,
-                 util::BytesView prefix, util::BytesView body) {
-  KeyedPrefixMac mac(std::make_unique<Md5>());
-  return {mac.compute(mac_key, {prefix, body}),
+                 util::BytesView prefix, util::BytesView body,
+                 MacAlgorithm alg = MacAlgorithm::kKeyedMd5) {
+  return {mac_reference(alg, mac_key, {prefix, body}),
           encrypt(des, CipherMode::kCbc, iv, body)};
 }
 
-/// fused_seal_into under a fresh KeyedPrefixMac/MD5 context for `mac_key`.
+/// fused_seal_into under a fresh keyed-MD5 context for `mac_key`.
 TwoPass fused_seal(const Des& des, std::uint64_t iv, util::BytesView mac_key,
                    util::BytesView prefix, util::BytesView body) {
-  KeyedPrefixMac mac_alg(std::make_unique<Md5>());
-  const auto ctx = mac_alg.make_context(mac_key);
+  const auto ctx = Mac(MacAlgorithm::kKeyedMd5).make_context(mac_key);
   TwoPass out{util::Bytes(ctx.mac_size()), {}};
   fused_seal_into(des, iv, ctx, prefix, body, out.mac.data(),
                   out.ciphertext);
@@ -62,26 +60,35 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FusedSweep,
                                            64u, 100u, 1024u, 1460u, 8192u));
 
 TEST(Fused, SealMatchesTwoPassAtEveryLength) {
-  // The seal hashes the body in 64-byte chunks after the 16-byte key and
-  // the 10-byte header prefix, so the chunks never line up with MD5's
-  // blocks: every body length 0..1500
-  // moves the chunk edges, the partial tail and the padding block against
-  // both the hash buffer and the cipher chain.
-  util::SplitMix64 rng(1500);
-  const util::Bytes mac_key = rng.next_bytes(16);
-  const Des des(rng.next_bytes(8));
-  KeyedPrefixMac mac_alg(std::make_unique<Md5>());
-  const auto ctx = mac_alg.make_context(mac_key);
-  util::Bytes ct;
-  for (std::size_t size = 0; size <= 1500; ++size) {
-    const util::Bytes prefix = rng.next_bytes(10);
-    const util::Bytes body = rng.next_bytes(size);
-    const std::uint64_t iv = rng.next_u64();
-    std::uint8_t tag[16];
-    fused_seal_into(des, iv, ctx, prefix, body, tag, ct);
-    const TwoPass ref = two_pass(des, iv, mac_key, prefix, body);
-    ASSERT_EQ(util::Bytes(tag, tag + 16), ref.mac) << size;
-    ASSERT_EQ(ct, ref.ciphertext) << size;
+  // The seal hashes the body in 64-byte chunks after the key (or the HMAC
+  // inner pad) and the 10-byte header prefix, so the chunks never line up
+  // with the hash's blocks: every body length 0..1500 moves the chunk
+  // edges, the partial tail and the padding block against both the hash
+  // buffer and the cipher chain. Every MAC algorithm takes the same seal,
+  // and the open must give back the body and the sender's tag.
+  for (const MacAlgorithm alg : kMacAlgorithms) {
+    util::SplitMix64 rng(1500);
+    const util::Bytes mac_key = rng.next_bytes(16);
+    const Des des(rng.next_bytes(8));
+    const auto ctx = Mac(alg).make_context(mac_key);
+    const std::size_t n = ctx.mac_size();
+    util::Bytes ct;
+    util::Bytes back;
+    for (std::size_t size = 0; size <= 1500; ++size) {
+      const util::Bytes prefix = rng.next_bytes(10);
+      const util::Bytes body = rng.next_bytes(size);
+      const std::uint64_t iv = rng.next_u64();
+      std::uint8_t tag[kMaxMacSize];
+      fused_seal_into(des, iv, ctx, prefix, body, tag, ct);
+      const TwoPass ref = two_pass(des, iv, mac_key, prefix, body, alg);
+      ASSERT_EQ(util::Bytes(tag, tag + n), ref.mac)
+          << "alg " << static_cast<int>(alg) << " size " << size;
+      ASSERT_EQ(ct, ref.ciphertext) << size;
+      std::uint8_t rtag[kMaxMacSize];
+      ASSERT_TRUE(fused_open_into(des, iv, ctx, prefix, ct, rtag, back));
+      ASSERT_EQ(back, body) << size;
+      ASSERT_EQ(util::Bytes(rtag, rtag + n), ref.mac) << size;
+    }
   }
 }
 
@@ -97,8 +104,8 @@ TEST(Fused, DecryptsAndVerifiesLikeNormalOutput) {
   const auto plain = decrypt(des, CipherMode::kCbc, iv, fused.ciphertext);
   ASSERT_TRUE(plain.has_value());
   EXPECT_EQ(*plain, body);
-  KeyedPrefixMac mac(std::make_unique<Md5>());
-  EXPECT_EQ(mac.compute(mac_key, {prefix, *plain}), fused.mac);
+  EXPECT_EQ(mac_reference(MacAlgorithm::kKeyedMd5, mac_key, {prefix, *plain}),
+            fused.mac);
 }
 
 class FusedIntoSweep : public ::testing::TestWithParam<std::size_t> {};
@@ -117,7 +124,7 @@ TEST_P(FusedIntoSweep, SealIntoMatchesOneShot) {
 
   const TwoPass one_shot = two_pass(des, iv, mac_key, prefix, body);
 
-  KeyedPrefixMac mac_alg(std::make_unique<Md5>());
+  const Mac mac_alg(MacAlgorithm::kKeyedMd5);
   const auto ctx = mac_alg.make_context(mac_key);
   std::uint8_t tag[16];
   util::Bytes ct(1, 0xEE);  // dirty
@@ -140,7 +147,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FusedIntoSweep,
 TEST(Fused, OpenIntoRejectsMalformedCiphertext) {
   util::SplitMix64 rng(123);
   const Des des(rng.next_bytes(8));
-  KeyedPrefixMac mac_alg(std::make_unique<Md5>());
+  const Mac mac_alg(MacAlgorithm::kKeyedMd5);
   const auto ctx = mac_alg.make_context(rng.next_bytes(16));
   std::uint8_t tag[16];
   util::Bytes body;
@@ -166,7 +173,7 @@ TEST(Fused, ContextIsReusableAcrossDatagrams) {
   util::SplitMix64 rng(321);
   const util::Bytes mac_key = rng.next_bytes(16);
   const Des des(rng.next_bytes(8));
-  KeyedPrefixMac mac_alg(std::make_unique<Md5>());
+  const Mac mac_alg(MacAlgorithm::kKeyedMd5);
   const auto ctx = mac_alg.make_context(mac_key);
   util::Bytes ct;
   for (int i = 0; i < 4; ++i) {
@@ -191,7 +198,7 @@ TEST(FusedBatch, SealBatchBitIdenticalToSequentialSealInto) {
   std::vector<MacContext> macs;
   std::vector<util::Bytes> bodies, prefixes;
   std::vector<std::uint64_t> ivs;
-  KeyedPrefixMac mac_alg(std::make_unique<Md5>());
+  const Mac mac_alg(MacAlgorithm::kKeyedMd5);
   for (std::size_t i = 0; i < kJobs; ++i) {
     const util::Bytes key = rng.next_bytes(8);
     des.emplace_back(key);
@@ -236,7 +243,7 @@ TEST(FusedBatch, OpenBatchBitIdenticalToSequentialOpenInto) {
   std::vector<MacContext> macs;
   std::vector<util::Bytes> cts, prefixes;
   std::vector<std::uint64_t> ivs;
-  KeyedPrefixMac mac_alg(std::make_unique<Md5>());
+  const Mac mac_alg(MacAlgorithm::kKeyedMd5);
   for (std::size_t i = 0; i < kJobs; ++i) {
     const util::Bytes key = rng.next_bytes(8);
     des.emplace_back(key);
@@ -293,7 +300,7 @@ TEST(FusedBatch, SmallOpenBatchTakesTheFusedPassPerJob) {
   // touches the batch engine: each job runs the single fused pass, with
   // the same verdicts, bodies and tags, a malformed job included.
   util::SplitMix64 rng(999);
-  KeyedPrefixMac mac_alg(std::make_unique<Md5>());
+  const Mac mac_alg(MacAlgorithm::kKeyedMd5);
   constexpr std::size_t kJobs = 4;
   std::vector<Des> des;
   std::vector<DesBitsliceKeySchedule> sched;

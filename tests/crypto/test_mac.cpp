@@ -2,18 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "crypto/md5.hpp"
 #include "crypto/sha1.hpp"
+#include "support/mac_reference.hpp"
 
 namespace fbs::crypto {
 namespace {
 
+/// The tag of `alg` under `key` over `chunks`, through a per-flow context.
+util::Bytes tag_of(MacAlgorithm alg, util::BytesView key,
+                   std::initializer_list<util::BytesView> chunks) {
+  const MacContext ctx = Mac(alg).make_context(key);
+  util::Bytes tag(ctx.mac_size());
+  ctx.compute_into(chunks, tag.data());
+  return tag;
+}
+
 std::string hmac_md5_hex(const util::Bytes& key, const util::Bytes& msg) {
-  return util::to_hex(hmac_md5(key, msg));
+  return util::to_hex(tag_of(MacAlgorithm::kHmacMd5, key, {msg}));
 }
 
 std::string hmac_sha1_hex(const util::Bytes& key, const util::Bytes& msg) {
-  return util::to_hex(hmac_sha1(key, msg));
+  return util::to_hex(tag_of(MacAlgorithm::kHmacSha1, key, {msg}));
 }
 
 // RFC 2202 test cases for HMAC-MD5.
@@ -66,87 +78,95 @@ TEST(HmacSha1, Rfc2202Case3) {
             "125d7342b9ac11cd91a39af48aa17b4f63f175d3");
 }
 
+TEST(HmacSha1, Rfc2202Case6LongKey) {
+  EXPECT_EQ(hmac_sha1_hex(util::Bytes(80, 0xaa),
+                          util::to_bytes(
+                              "Test Using Larger Than Block-Size Key - Hash "
+                              "Key First")),
+            "aa4ae5e15272d00e95705637ce8a3b55ed402112");
+}
+
 TEST(KeyedPrefixMac, EqualsHashOfKeyThenMessage) {
   // The paper's construction is literally H(K | chunks...).
-  KeyedPrefixMac mac(std::make_unique<Md5>());
   const util::Bytes key = util::to_bytes("flowkey");
   const util::Bytes a = util::to_bytes("confounder+ts");
   const util::Bytes b = util::to_bytes("payload");
   util::Bytes concat = key;
   concat.insert(concat.end(), a.begin(), a.end());
   concat.insert(concat.end(), b.begin(), b.end());
-  EXPECT_EQ(mac.compute(key, {a, b}), md5(concat));
+  EXPECT_EQ(tag_of(MacAlgorithm::kKeyedMd5, key, {a, b}), md5(concat));
+  EXPECT_EQ(tag_of(MacAlgorithm::kKeyedSha1, key, {a, b}), sha1(concat));
 }
 
 TEST(KeyedPrefixMac, KeySeparation) {
-  KeyedPrefixMac mac(std::make_unique<Md5>());
   const util::Bytes msg = util::to_bytes("same message");
-  EXPECT_NE(mac.compute(util::to_bytes("key1"), {msg}),
-            mac.compute(util::to_bytes("key2"), {msg}));
+  EXPECT_NE(tag_of(MacAlgorithm::kKeyedMd5, util::to_bytes("key1"), {msg}),
+            tag_of(MacAlgorithm::kKeyedMd5, util::to_bytes("key2"), {msg}));
 }
 
 TEST(KeyedPrefixMac, MessageSensitivity) {
-  KeyedPrefixMac mac(std::make_unique<Md5>());
   const util::Bytes key = util::to_bytes("k");
-  EXPECT_NE(mac.compute(key, {util::to_bytes("msg-a")}),
-            mac.compute(key, {util::to_bytes("msg-b")}));
+  EXPECT_NE(tag_of(MacAlgorithm::kKeyedMd5, key, {util::to_bytes("msg-a")}),
+            tag_of(MacAlgorithm::kKeyedMd5, key, {util::to_bytes("msg-b")}));
 }
 
 TEST(KeyedPrefixMac, ChunkingIsTransparent) {
-  KeyedPrefixMac mac(std::make_unique<Md5>());
   const util::Bytes key = util::to_bytes("k");
   const util::Bytes ab = util::to_bytes("ab");
   const util::Bytes a = util::to_bytes("a");
   const util::Bytes b = util::to_bytes("b");
-  EXPECT_EQ(mac.compute(key, {ab}), mac.compute(key, {a, b}));
+  EXPECT_EQ(tag_of(MacAlgorithm::kKeyedMd5, key, {ab}),
+            tag_of(MacAlgorithm::kKeyedMd5, key, {a, b}));
 }
 
 TEST(HmacMac, ChunkingIsTransparent) {
-  HmacMac mac(std::make_unique<Sha1>());
   const util::Bytes key = util::to_bytes("k");
   const util::Bytes a = util::to_bytes("hello ");
   const util::Bytes b = util::to_bytes("world");
   const util::Bytes whole = util::to_bytes("hello world");
-  EXPECT_EQ(mac.compute(key, {a, b}), mac.compute(key, {whole}));
+  EXPECT_EQ(tag_of(MacAlgorithm::kHmacSha1, key, {a, b}),
+            tag_of(MacAlgorithm::kHmacSha1, key, {whole}));
 }
 
 TEST(Mac, SizesMatchUnderlyingHash) {
-  EXPECT_EQ(KeyedPrefixMac(std::make_unique<Md5>()).mac_size(), 16u);
-  EXPECT_EQ(KeyedPrefixMac(std::make_unique<Sha1>()).mac_size(), 20u);
-  EXPECT_EQ(HmacMac(std::make_unique<Md5>()).mac_size(), 16u);
-  EXPECT_EQ(HmacMac(std::make_unique<Sha1>()).mac_size(), 20u);
+  EXPECT_EQ(Mac(MacAlgorithm::kKeyedMd5).mac_size(), 16u);
+  EXPECT_EQ(Mac(MacAlgorithm::kKeyedSha1).mac_size(), 20u);
+  EXPECT_EQ(Mac(MacAlgorithm::kHmacMd5).mac_size(), 16u);
+  EXPECT_EQ(Mac(MacAlgorithm::kHmacSha1).mac_size(), 20u);
+  EXPECT_EQ(Mac(MacAlgorithm::kNull).mac_size(), 16u);
+  for (const MacAlgorithm alg : kMacAlgorithms) {
+    EXPECT_LE(Mac(alg).mac_size(), kMaxMacSize);
+    EXPECT_EQ(Mac(alg).make_context(util::to_bytes("k")).mac_size(),
+              Mac(alg).mac_size());
+  }
+  EXPECT_THROW(Mac(static_cast<MacAlgorithm>(9)).make_context({}),
+               std::invalid_argument);
 }
 
 TEST(MacContext, MatchesOneShotComputeForEveryAlgorithm) {
   // The per-flow contexts (key precomputed once, then one MacRun of
-  // update/finish_into per datagram) must agree with Mac::compute for every
-  // algorithm, key length (short, block-sized, overlong), and chunking,
-  // across repeated reuse of one context.
+  // update/finish_into per datagram) must agree with the one-shot oracle
+  // for every algorithm, key length (short, block-sized, overlong), and
+  // chunking, across repeated reuse of one context.
   const util::Bytes keys[] = {
       util::to_bytes("k"), util::Bytes(16, 0x0b), util::Bytes(64, 0x3c),
       util::Bytes(80, 0xaa),  // overlong: exercises hash-the-key
   };
   const util::Bytes a = util::to_bytes("confounder+ts");
   const util::Bytes b = util::to_bytes("payload bytes of a datagram");
-  std::unique_ptr<Mac> macs[] = {
-      std::make_unique<KeyedPrefixMac>(std::make_unique<Md5>()),
-      std::make_unique<KeyedPrefixMac>(std::make_unique<Sha1>()),
-      std::make_unique<HmacMac>(std::make_unique<Md5>()),
-      std::make_unique<HmacMac>(std::make_unique<Sha1>()),
-      std::make_unique<NullMac>(),
-  };
-  for (const auto& mac : macs) {
+  for (const MacAlgorithm alg : kMacAlgorithms) {
     for (const util::Bytes& key : keys) {
-      const MacContext ctx = mac->make_context(key);
-      ASSERT_EQ(ctx.mac_size(), mac->mac_size());
+      const MacContext ctx = Mac(alg).make_context(key);
+      ASSERT_EQ(ctx.mac_size(), mac_size(alg));
       for (int round = 0; round < 3; ++round) {  // context reuse
         MacRun run(ctx);
         run.update(a);
         run.update(b);
         util::Bytes tag(ctx.mac_size());
         run.finish_into(tag.data());
-        EXPECT_EQ(tag, mac->compute(key, {a, b}))
-            << "key len " << key.size() << " round " << round;
+        EXPECT_EQ(tag, mac_reference(alg, key, {a, b}))
+            << "alg " << static_cast<int>(alg) << " key len " << key.size()
+            << " round " << round;
         util::Bytes one_call(ctx.mac_size());
         ctx.compute_into({a, b}, one_call.data());
         EXPECT_EQ(one_call, tag);
@@ -158,9 +178,8 @@ TEST(MacContext, MatchesOneShotComputeForEveryAlgorithm) {
 TEST(MacContext, AbandonedMessageDoesNotPoisonTheNext) {
   // The receive path bails out mid-datagram on padding failures; a run
   // abandoned mid-message must leave the context untouched for the next.
-  HmacMac mac(std::make_unique<Md5>());
   const util::Bytes key = util::to_bytes("flow key");
-  const MacContext ctx = mac.make_context(key);
+  const MacContext ctx = Mac(MacAlgorithm::kHmacMd5).make_context(key);
   {
     MacRun abandoned(ctx);
     abandoned.update(util::to_bytes("partial garbage never finished"));
@@ -169,15 +188,15 @@ TEST(MacContext, AbandonedMessageDoesNotPoisonTheNext) {
   run.update(util::to_bytes("Hi There"));
   util::Bytes tag(ctx.mac_size());
   run.finish_into(tag.data());
-  EXPECT_EQ(tag, mac.compute(key, {util::to_bytes("Hi There")}));
+  EXPECT_EQ(tag, mac_reference(MacAlgorithm::kHmacMd5, key,
+                               {util::to_bytes("Hi There")}));
 }
 
 TEST(Mac, HmacDiffersFromKeyedPrefix) {
   const util::Bytes key = util::to_bytes("key");
   const util::Bytes msg = util::to_bytes("msg");
-  KeyedPrefixMac kp(std::make_unique<Md5>());
-  HmacMac hm(std::make_unique<Md5>());
-  EXPECT_NE(kp.compute(key, {msg}), hm.compute(key, {msg}));
+  EXPECT_NE(tag_of(MacAlgorithm::kKeyedMd5, key, {msg}),
+            tag_of(MacAlgorithm::kHmacMd5, key, {msg}));
 }
 
 }  // namespace

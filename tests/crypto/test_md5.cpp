@@ -51,12 +51,14 @@ TEST(Md5, ResetAllowsReuse) {
 }
 
 TEST(Md5, CloneCopiesState) {
+  // A plain copy carries the running state, and the two then diverge
+  // independently.
   Md5 ctx;
   ctx.update(util::to_bytes("ab"));
-  auto copy = ctx.clone();
-  copy->update(util::to_bytes("c"));
-  EXPECT_EQ(util::to_hex(copy->finish()),
-            "900150983cd24fb0d6963f7d28e17f72");
+  Md5 copy = ctx;
+  copy.update(util::to_bytes("c"));
+  EXPECT_EQ(util::to_hex(copy.finish()), "900150983cd24fb0d6963f7d28e17f72");
+  EXPECT_EQ(ctx.finish(), md5(util::to_bytes("ab")));
 }
 
 TEST(Md5, LengthPaddingBoundaries) {
@@ -76,9 +78,9 @@ TEST(Md5, DistinctInputsDistinctDigests) {
 }
 
 TEST(Md5, InterfaceMetadata) {
-  Md5 ctx;
-  EXPECT_EQ(ctx.digest_size(), 16u);
-  EXPECT_EQ(ctx.block_size(), 64u);
+  EXPECT_EQ(Md5::kDigestSize, 16u);
+  EXPECT_EQ(Md5::kBlockSize, 64u);
+  EXPECT_EQ(md5({}).size(), Md5::kDigestSize);
 }
 
 TEST(Md5, MatchesLoopFormReferenceAtEveryLength) {

@@ -49,16 +49,17 @@ TEST(Sha1, ResetAndClone) {
   ctx.update(util::to_bytes("junk"));
   ctx.reset();
   ctx.update(util::to_bytes("ab"));
-  auto copy = ctx.clone();
-  copy->update(util::to_bytes("c"));
-  EXPECT_EQ(util::to_hex(copy->finish()),
+  Sha1 copy = ctx;  // a plain copy carries the running state
+  copy.update(util::to_bytes("c"));
+  EXPECT_EQ(util::to_hex(copy.finish()),
             "a9993e364706816aba3e25717850c26c9cd0d89d");
+  EXPECT_EQ(ctx.finish(), sha1(util::to_bytes("ab")));
 }
 
 TEST(Sha1, DigestLongerThanMd5) {
-  Sha1 s;
-  EXPECT_EQ(s.digest_size(), 20u);
-  EXPECT_EQ(s.block_size(), 64u);
+  EXPECT_EQ(Sha1::kDigestSize, 20u);
+  EXPECT_EQ(Sha1::kBlockSize, 64u);
+  EXPECT_EQ(sha1({}).size(), Sha1::kDigestSize);
 }
 
 }  // namespace

@@ -364,6 +364,7 @@ TEST_P(SuiteSweep, RoundTripUnderEverySuite) {
   FbsConfig cfg;
   cfg.suite.mac = param.mac;
   cfg.suite.cipher = param.cipher;
+  cfg.trace_stages = true;
   FbsEndpoint sender(a.principal, cfg, *a.keys, world.clock, world.rng);
   FbsEndpoint receiver(b.principal, cfg, *b.keys, world.clock, world.rng);
 
@@ -380,6 +381,14 @@ TEST_P(SuiteSweep, RoundTripUnderEverySuite) {
   auto outcome = receiver.unprotect(a.principal, *wire);
   ASSERT_TRUE(std::holds_alternative<ReceivedDatagram>(outcome));
   EXPECT_EQ(std::get<ReceivedDatagram>(outcome).datagram.body, d.body);
+  // Every secret DES-CBC suite seals in the single fused pass, whatever
+  // its MAC; the others MAC and encrypt separately.
+  const bool fused = param.secret &&
+                     param.cipher == crypto::CipherAlgorithm::kDesCbc;
+  EXPECT_EQ(sender.tracer().recorder(obs::Stage::kSendFused).count(),
+            fused ? 1u : 0u);
+  EXPECT_EQ(sender.tracer().recorder(obs::Stage::kSendMac).count(),
+            fused ? 0u : 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -38,7 +38,8 @@
 #   tools/check.sh --crypto-smoke # ASan+UBSan build, run the crypto suites
 #                                 # (ctest -L crypto: DES/MD5 kernels against
 #                                 # their reference oracles, fused seal/open,
-#                                 # bitslice batches), then a Release
+#                                 # bitslice batches) and test_baselines
+#                                 # (MacContext callers), then a Release
 #                                 # bench_crypto pass with the bitsliced-DES
 #                                 # speedup gate (>= 3x the scalar core) and
 #                                 # the routed-open gate (no swept burst
@@ -113,7 +114,8 @@ fi
 if [ "${1:-}" = "--crypto-smoke" ]; then
   # Crypto kernel gate: the scalar DES/MD5 kernels are hand-scheduled
   # straight-line code, so run their bit-exactness suites under ASan+UBSan,
-  # then measure in a Release tree. The bitslice gate divides the wide
+  # with the baseline protocols that MAC through the same MacContext, then
+  # measure in a Release tree. The bitslice gate divides the wide
   # engine's throughput by the scalar core's, so a faster scalar core must
   # still leave the wide engine >= 3x ahead. The routed-open gate caps the
   # worst ratio of the engine's routed open (CryptoBatch cost model) to the
@@ -123,9 +125,11 @@ if [ "${1:-}" = "--crypto-smoke" ]; then
   echo "== configure (build-sanitize) =="
   cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DFBS_SANITIZE=ON
   echo "== build crypto suites =="
-  cmake --build build-sanitize -j "$JOBS" --target test_crypto
+  cmake --build build-sanitize -j "$JOBS" --target test_crypto test_baselines
   echo "== crypto suites (ctest -L crypto) =="
   ctest --test-dir build-sanitize -L crypto -j "$JOBS" --output-on-failure
+  echo "== baselines (keyed-MD5 MacContext callers) =="
+  build-sanitize/tests/test_baselines
   echo "== configure (build-release) =="
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
   echo "== build bench_crypto =="
